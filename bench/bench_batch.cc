@@ -28,6 +28,7 @@
 namespace smoqe {
 namespace {
 
+using bench::CompileMix;
 using bench::Corpus;
 
 /// Deterministic service mix of 16 document-level hospital queries,
@@ -70,13 +71,6 @@ std::vector<std::string> QueryMix(size_t n) {
   mix.reserve(n);
   for (size_t i = 0; i < n; ++i) mix.push_back(kBase[i % kBase.size()]);
   return mix;
-}
-
-std::vector<const automata::Mfa*> CompileMix(const std::vector<std::string>& mix) {
-  std::vector<const automata::Mfa*> plans;
-  plans.reserve(mix.size());
-  for (const std::string& q : mix) plans.push_back(&Corpus::Get().Mfa(q));
-  return plans;
 }
 
 void Sequential(benchmark::State& state) {

@@ -52,6 +52,9 @@ core::RequestOptions NeverTrips() {
 std::unique_ptr<core::Smoqe> MakeEngine(size_t size) {
   core::EngineOptions o;
   o.max_threads = 1;  // serial: measure the guard, not the pool
+  // Room for every plan of the deadline calibration's largest batch, so
+  // a governed run spends its budget in the scan, not in compiles.
+  o.plan_cache_capacity = 1024;
   auto engine = std::make_unique<core::Smoqe>(o);
   Corpus::Check(
       engine->RegisterDtd("hospital", workload::kHospitalDtd, "hospital")
@@ -167,16 +170,28 @@ void WriteGuardrailTrajectory(const char* path) {
     auto engine = MakeEngine(size);
     core::QueryOptions stax;
     stax.mode = core::EvalMode::kStax;
+    // Item i is the hot query with its own comparison constant: a batch
+    // runs one engine per distinct plan, so identical items would
+    // collapse into one engine and never reach the calibration target.
+    auto hot_item = [&](size_t i) {
+      std::string q = kHotQuery;
+      if (i > 0) {
+        q.replace(q.find("'autism'"), 8,
+                  "'autism-" + std::to_string(i) + "'");
+      }
+      return core::BatchQueryItem{q, stax};
+    };
     std::vector<core::BatchQueryItem> items;
-    for (int i = 0; i < 8; ++i) items.push_back({kHotQuery, stax});
+    for (size_t i = 0; i < 8; ++i) items.push_back(hot_item(i));
     while (items.size() < 1024) {
       const auto t0 = Clock::now();
       Corpus::Check(engine->QueryBatch("ward", items).ok(), "calibrate");
       if (std::chrono::duration<double>(Clock::now() - t0).count() >= 0.25) {
         break;
       }
-      const std::vector<core::BatchQueryItem> half = items;
-      items.insert(items.end(), half.begin(), half.end());
+      for (size_t i = items.size(), n = 2 * i; i < n; ++i) {
+        items.push_back(hot_item(i));
+      }
     }
     constexpr uint64_t kDeadlineMs = 50;
     core::RequestOptions req;

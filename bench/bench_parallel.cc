@@ -43,6 +43,7 @@
 namespace smoqe {
 namespace {
 
+using bench::CompileMix;
 using bench::Corpus;
 
 /// The E11 deterministic service mix (see bench_batch.cc for the
@@ -73,14 +74,6 @@ std::vector<std::string> QueryMix(size_t n) {
   mix.reserve(n);
   for (size_t i = 0; i < n; ++i) mix.push_back(kBase[i % kBase.size()]);
   return mix;
-}
-
-std::vector<const automata::Mfa*> CompileMix(
-    const std::vector<std::string>& mix) {
-  std::vector<const automata::Mfa*> plans;
-  plans.reserve(mix.size());
-  for (const std::string& q : mix) plans.push_back(&Corpus::Get().Mfa(q));
-  return plans;
 }
 
 /// A facade engine over the corpus hospital document at `size`, with the

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/automata/mfa.h"
@@ -100,16 +101,17 @@ class Corpus {
   const std::shared_ptr<xml::NameTable>& names() { return names_; }
 
   /// Compiles (and caches) a query MFA against the shared name table.
-  const automata::Mfa& Mfa(const std::string& query) {
-    auto it = mfas_.find(query);
+  /// Distinct `copy` values give separately compiled, equal MFAs.
+  const automata::Mfa& Mfa(const std::string& query, size_t copy = 0) {
+    auto key = std::make_pair(query, copy);
+    auto it = mfas_.find(key);
     if (it == mfas_.end()) {
       auto q = rxpath::ParseQuery(query);
       Check(q.ok(), "query parse");
       auto mfa = automata::Mfa::Compile(**q, names_);
       Check(mfa.ok(), "mfa compile");
       it = mfas_
-               .emplace(query,
-                        std::make_unique<automata::Mfa>(mfa.MoveValue()))
+               .emplace(key, std::make_unique<automata::Mfa>(mfa.MoveValue()))
                .first;
     }
     return *it->second;
@@ -130,8 +132,23 @@ class Corpus {
   std::map<size_t, std::unique_ptr<xml::Document>> hospital_deep_;
   std::map<size_t, std::string> hospital_text_;
   std::map<size_t, std::unique_ptr<xml::Document>> org_;
-  std::map<std::string, std::unique_ptr<automata::Mfa>> mfas_;
+  std::map<std::pair<std::string, size_t>, std::unique_ptr<automata::Mfa>>
+      mfas_;
 };
+
+/// Compiles a batch's query mix, one plan per slot: the k-th repeat of a
+/// query gets its own compiled copy, so a batch of n slots still runs n
+/// engines (a batch shares one engine per distinct MFA).
+inline std::vector<const automata::Mfa*> CompileMix(
+    const std::vector<std::string>& mix) {
+  std::vector<const automata::Mfa*> plans;
+  plans.reserve(mix.size());
+  std::map<std::string, size_t> repeats;
+  for (const std::string& q : mix) {
+    plans.push_back(&Corpus::Get().Mfa(q, repeats[q]++));
+  }
+  return plans;
+}
 
 // ---------------------------------------------------------------------
 // JSON trajectory reporting — BENCH_*.json files recorded per PR so the

@@ -40,9 +40,10 @@ struct EvalStats {
   // Service layer (plan cache + batch evaluation, DESIGN.md §5).
   uint64_t plan_cache_hits = 0;    ///< compile served from the plan cache
   uint64_t plan_cache_misses = 0;  ///< compiled fresh (then cached)
-  uint64_t batch_plans = 0;        ///< plans co-evaluated on this StAX scan
-                                   ///< (1 = single-query streaming; 0 = not
-                                   ///< a streaming evaluation)
+  uint64_t batch_plans = 0;        ///< engines (one per distinct plan) on
+                                   ///< this StAX scan (1 = single-query
+                                   ///< streaming; 0 = not a streaming
+                                   ///< evaluation)
 
   void Reset() { *this = EvalStats(); }
 

@@ -114,23 +114,30 @@ Smoqe::FacadeMetrics::FacadeMetrics(tel::MetricsRegistry& reg)
       guard_deadline_exceeded(&reg.GetCounter("guard.deadline_exceeded")),
       guard_budget_exceeded(&reg.GetCounter("guard.budget_exceeded")),
       guard_admission_rejected(&reg.GetCounter("guard.admission_rejected")),
-      guard_cancelled(&reg.GetCounter("guard.cancelled")) {}
+      guard_cancelled(&reg.GetCounter("guard.cancelled")),
+      engine_inflight(&reg.GetGauge("engine.inflight")) {}
 
 Smoqe::Admission::Admission(Smoqe* engine)
     : engine_(engine), admitted_(true) {
   const int limit = engine->options_.max_pending_requests;
-  if (limit <= 0) return;  // unbounded: the gate compiles down to nothing
-  const int now = engine->inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (now > limit) {
-    engine->inflight_.fetch_sub(1, std::memory_order_relaxed);
-    admitted_ = false;
+  if (limit > 0) {
+    const int now =
+        engine->inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (now > limit) {
+      engine->inflight_.fetch_sub(1, std::memory_order_relaxed);
+      admitted_ = false;
+      return;
+    }
   }
+  if (engine->tm_ != nullptr) engine->tm_->engine_inflight->Add(1);
 }
 
 Smoqe::Admission::~Admission() {
-  if (engine_->options_.max_pending_requests > 0 && admitted_) {
+  if (!admitted_) return;
+  if (engine_->options_.max_pending_requests > 0) {
     engine_->inflight_.fetch_sub(1, std::memory_order_relaxed);
   }
+  if (engine_->tm_ != nullptr) engine_->tm_->engine_inflight->Add(-1);
 }
 
 const Guardrail* Smoqe::MakeGuard(const RequestOptions& req,
@@ -670,9 +677,6 @@ Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
   // All streaming items share one forward scan of the document text; with
   // a pool, per-plan advancement fans out behind the shared tokenizer.
   if (!stax_items.empty()) {
-    if (tm_ != nullptr) {
-      tm_->batch_plans_per_scan->Record(stax_items.size());
-    }
     eval::BatchStaxOptions batch_opts;
     batch_opts.guard = guard;
     eval::BatchEvaluator batch(batch_opts);
@@ -680,6 +684,10 @@ Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
       eval::EngineOptions engine;
       engine.trace = items[i].options.explain;
       batch.AddPlan(&plans[i].plan->mfa, engine);
+    }
+    // Items that hit the same cached plan share one engine on the scan.
+    if (tm_ != nullptr) {
+      tm_->batch_plans_per_scan->Record(batch.engine_count());
     }
     tel::SpanScope span(tr, "evaluate.stax_scan");
     Result<std::vector<eval::StaxEvalResult>> results_or =

@@ -463,6 +463,8 @@ class Smoqe {
     tel::Counter* guard_budget_exceeded;
     tel::Counter* guard_admission_rejected;
     tel::Counter* guard_cancelled;
+    /// Requests currently admitted into a public entry point.
+    tel::Gauge* engine_inflight;
   };
 
   /// Parses + normalizes `query_text` and returns its compiled plan,

@@ -1,6 +1,7 @@
 #include "src/eval/batch.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -155,11 +156,12 @@ class CaptureStream {
   std::string open_tag_;   // scratch; reused across start events
 };
 
-/// Per-plan evaluation state: the plan's own engine (runs, guards,
-/// frames) plus the skip window and the engine-id → document-node map
-/// used to demultiplex shared captures back into per-plan answers.
+/// Per-engine evaluation state — one per distinct plan of the batch: the
+/// engine (runs, guards, frames) plus the skip window and the engine-id →
+/// document-node map used to demultiplex shared captures back into
+/// per-plan answers.
 /// Confinement (DESIGN.md §7): under RunParallel each PlanState is
-/// advanced by exactly one worker per chunk; the driver thread reads
+/// advanced by exactly one claimer per chunk; the driver thread reads
 /// `staged_events` only after the chunk's join.
 struct PlanState {
   PlanState(const automata::Mfa& mfa, const EngineOptions& engine_options)
@@ -195,7 +197,7 @@ struct TokEvent {
 };
 
 /// A chunk of decoded, interned events — the unit of fork/join work the
-/// parallel driver hands to plan groups. Buffers are reused across
+/// parallel driver hands to the engines. Buffers are reused across
 /// refills.
 struct TokChunk {
   std::vector<TokEvent> events;
@@ -211,12 +213,14 @@ struct TokChunk {
 
 /// Decodes up to `max_events` events into `out` (cleared first). Start
 /// labels are interned here, on the driver thread — workers only ever
-/// read the name table. Returns true once kEndDocument was consumed.
+/// read the name table. Returns true once kEndDocument was consumed, or
+/// the guard's status once `ticker` finds it tripped.
 Result<bool> FillChunk(xml::StaxReader& reader, xml::NameTable* names,
                        int32_t* next_node_id, size_t max_events,
-                       TokChunk* out) {
+                       GuardTicker* ticker, TokChunk* out) {
   out->Clear();
   while (out->events.size() < max_events) {
+    if (ticker->Due()) SMOQE_RETURN_IF_ERROR(ticker->Now());
     SMOQE_ASSIGN_OR_RETURN(xml::StaxEvent ev, reader.Next());
     switch (ev) {
       case xml::StaxEvent::kStartDocument:
@@ -262,11 +266,14 @@ Result<bool> FillChunk(xml::StaxReader& reader, xml::NameTable* names,
 
 /// Advances one plan through a whole chunk — the same per-plan logic the
 /// serial scan applies per event, so the engine sees an identical
-/// Enter/Text/Leave sequence.
-void AdvancePlanOverChunk(PlanState& ps, const TokChunk& chunk,
-                          const xml::NameTable& names) {
+/// Enter/Text/Leave sequence. Stops early, mid-chunk, with the guard's
+/// status once `ticker` finds it tripped; the engine is then unusable.
+Status AdvancePlanOverChunk(PlanState& ps, const TokChunk& chunk,
+                            const xml::NameTable& names,
+                            GuardTicker* ticker) {
   ps.staged_events.clear();
   for (uint32_t i = 0; i < chunk.events.size(); ++i) {
+    if (ticker->Due()) SMOQE_RETURN_IF_ERROR(ticker->Now());
     const TokEvent& ev = chunk.events[i];
     switch (ev.kind) {
       case xml::StaxEvent::kStartElement: {
@@ -315,18 +322,20 @@ void AdvancePlanOverChunk(PlanState& ps, const TokChunk& chunk,
         break;  // never stored in chunks
     }
   }
+  return Status::OK();
 }
 
-/// Demultiplexes each plan's answer ids into serialized answers via its
-/// candidate map and the shared finished-capture table.
+/// Demultiplexes each engine's answer ids into serialized answers via its
+/// candidate map and the shared finished-capture table, then hands every
+/// registered plan the result of its engine (`engine_of[k]`).
 Result<std::vector<StaxEvalResult>> AssembleResults(
-    std::vector<std::unique_ptr<PlanState>>& states,
-    const CaptureStream& cap) {
-  std::vector<StaxEvalResult> results(states.size());
-  for (size_t k = 0; k < states.size(); ++k) {
-    PlanState& ps = *states[k];
+    std::vector<std::unique_ptr<PlanState>>& states, const CaptureStream& cap,
+    const std::vector<size_t>& engine_of) {
+  std::vector<StaxEvalResult> per_engine(states.size());
+  for (size_t e = 0; e < states.size(); ++e) {
+    PlanState& ps = *states[e];
     const std::vector<int32_t>& ids = ps.engine.FinishDocument();
-    StaxEvalResult& out = results[k];
+    StaxEvalResult& out = per_engine[e];
     for (int32_t id : ids) {
       // Answers are candidates, so the binary search always lands.
       auto cand = std::lower_bound(ps.candidate_nodes.begin(),
@@ -336,7 +345,7 @@ Result<std::vector<StaxEvalResult>> AssembleResults(
                     ? cap.finished().end()
                     : cap.finished().find(cand->second);
       if (it == cap.finished().end()) {
-        return Status::Internal("plan " + std::to_string(k) + " answer " +
+        return Status::Internal("engine " + std::to_string(e) + " answer " +
                                 std::to_string(id) + " was never captured");
       }
       out.answers.push_back(StaxAnswer{id, it->second});
@@ -346,6 +355,14 @@ Result<std::vector<StaxEvalResult>> AssembleResults(
     // reports the pass-wide peak.
     out.stats.buffered_bytes = cap.peak_buffered();
     out.stats.batch_plans = states.size();
+  }
+  // A plan's last user takes its engine's result; earlier ones copy it.
+  std::vector<size_t> last_user(states.size());
+  for (size_t k = 0; k < engine_of.size(); ++k) last_user[engine_of[k]] = k;
+  std::vector<StaxEvalResult> results(engine_of.size());
+  for (size_t k = 0; k < engine_of.size(); ++k) {
+    const size_t e = engine_of[k];
+    results[k] = last_user[e] == k ? std::move(per_engine[e]) : per_engine[e];
   }
   return results;
 }
@@ -357,29 +374,40 @@ BatchEvaluator::BatchEvaluator(BatchStaxOptions options)
 
 int BatchEvaluator::AddPlan(const automata::Mfa* mfa,
                             const EngineOptions& engine) {
-  plans_.push_back(Plan{mfa, engine});
-  return static_cast<int>(plans_.size()) - 1;
+  size_t e = 0;
+  while (e < engines_.size() &&
+         !(engines_[e].mfa == mfa && engines_[e].engine == engine)) {
+    ++e;
+  }
+  if (e == engines_.size()) engines_.push_back(Plan{mfa, engine});
+  engine_of_.push_back(e);
+  return static_cast<int>(engine_of_.size()) - 1;
 }
 
-Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
-    std::string_view xml) const {
-  if (plans_.empty()) return std::vector<StaxEvalResult>{};
-  xml::NameTable* names = plans_[0].mfa->names().get();
-  for (const Plan& p : plans_) {
-    if (p.mfa->names().get() != names) {
+Status BatchEvaluator::CheckNameTables() const {
+  for (const Plan& p : engines_) {
+    if (p.mfa->names() != engines_[0].mfa->names()) {
       return Status::InvalidArgument(
           "batch plans must share one name table (compile every query "
           "against the same corpus)");
     }
   }
+  return Status::OK();
+}
+
+Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
+    std::string_view xml) const {
+  if (engines_.empty()) return std::vector<StaxEvalResult>{};
+  SMOQE_RETURN_IF_ERROR(CheckNameTables());
+  xml::NameTable* names = engines_[0].mfa->names().get();
 
   xml::StaxOptions stax_options;
   stax_options.skip_whitespace_text = options_.skip_whitespace_text;
   xml::StaxReader reader(xml, stax_options);
 
   std::vector<std::unique_ptr<PlanState>> states;
-  states.reserve(plans_.size());
-  for (const Plan& p : plans_) {
+  states.reserve(engines_.size());
+  for (const Plan& p : engines_) {
     states.push_back(std::make_unique<PlanState>(*p.mfa, p.engine));
   }
   size_t live_plans = states.size();  // plans not currently skipping
@@ -468,7 +496,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
       }
       case xml::StaxEvent::kEndDocument:
         SMOQE_RETURN_IF_ERROR(ticker.Now());
-        return AssembleResults(states, cap);
+        return AssembleResults(states, cap, engine_of_);
     }
   }
 }
@@ -476,34 +504,21 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
 Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     std::string_view xml, const BatchParallelOptions& par) const {
   ThreadPool& pool = par.pool != nullptr ? *par.pool : ThreadPool::Shared();
-  // Workers advance plans while the caller tokenizes, so parallelism
-  // needs at least one worker and two plans to group.
+  // Workers advance engines while the caller tokenizes, so parallelism
+  // needs at least one worker and two distinct plans to group.
   const size_t workers = static_cast<size_t>(pool.thread_count()) - 1;
-  if (workers == 0 || plans_.size() < 2) return Run(xml);
-
-  xml::NameTable* names = plans_[0].mfa->names().get();
-  for (const Plan& p : plans_) {
-    if (p.mfa->names().get() != names) {
-      return Status::InvalidArgument(
-          "batch plans must share one name table (compile every query "
-          "against the same corpus)");
-    }
-  }
+  if (workers == 0 || engines_.size() < 2) return Run(xml);
+  SMOQE_RETURN_IF_ERROR(CheckNameTables());
+  xml::NameTable* names = engines_[0].mfa->names().get();
 
   std::vector<std::unique_ptr<PlanState>> states;
-  states.reserve(plans_.size());
-  for (const Plan& p : plans_) {
+  states.reserve(engines_.size());
+  for (const Plan& p : engines_) {
     states.push_back(std::make_unique<PlanState>(*p.mfa, p.engine));
   }
 
-  // Contiguous plan stripes, one per worker task.
-  const size_t groups = std::min(workers, states.size());
-  auto group_range = [&](size_t g) {
-    const size_t per = states.size() / groups;
-    const size_t extra = states.size() % groups;
-    const size_t begin = g * per + std::min(g, extra);
-    return std::make_pair(begin, begin + per + (g < extra ? 1 : 0));
-  };
+  // Pool tasks per chunk: one per worker, at most one per engine.
+  const size_t tasks = std::min(workers, states.size());
 
   xml::StaxOptions stax_options;
   stax_options.skip_whitespace_text = options_.skip_whitespace_text;
@@ -512,31 +527,48 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
   const size_t chunk_events = par.chunk_events == 0 ? 4096 : par.chunk_events;
   TokChunk cur, next;
   int32_t next_node_id = 0;
+  GuardTicker tok_ticker(options_.guard);
   SMOQE_ASSIGN_OR_RETURN(
-      bool eof, FillChunk(reader, names, &next_node_id, chunk_events, &cur));
+      bool eof, FillChunk(reader, names, &next_node_id, chunk_events,
+                          &tok_ticker, &cur));
 
   CaptureStream cap;
   std::vector<uint8_t> staged;
+  std::vector<Status> claim_status(tasks + 1, Status::OK());  // + driver
   uint64_t charged_capture = 0;
   while (!cur.events.empty()) {
     const auto chunk_t0 = par.chunk_ns != nullptr
                               ? std::chrono::steady_clock::now()
                               : std::chrono::steady_clock::time_point();
-    // Fork: each group advances its plans through `cur`…
-    Latch join(groups);
-    for (size_t g = 0; g < groups; ++g) {
-      pool.Submit([&, g] {
-        auto [begin, end] = group_range(g);
-        for (size_t k = begin; k < end; ++k) {
-          AdvancePlanOverChunk(*states[k], cur, *names);
-        }
+    // Fork: the tasks advance every engine through `cur`, claiming
+    // engines from a shared counter so a costly engine does not hold
+    // back a fixed stripe… A claimer ticks the guard as it goes and,
+    // once it trips, stops: the whole batch unwinds after the join, so
+    // a half-advanced engine is never read, and detection latency is the
+    // ticker period, as in the serial scan.
+    std::atomic<size_t> next_engine{0};
+    auto advance_claimed = [&](size_t slot) {
+      GuardTicker ticker(options_.guard);
+      for (size_t k = next_engine.fetch_add(1); k < states.size();
+           k = next_engine.fetch_add(1)) {
+        claim_status[slot] =
+            AdvancePlanOverChunk(*states[k], cur, *names, &ticker);
+        if (!claim_status[slot].ok()) return;
+      }
+    };
+    Latch join(tasks);
+    for (size_t t = 0; t < tasks; ++t) {
+      pool.Submit([&, t] {
+        advance_claimed(t);
         join.CountDown();
       });
     }
-    // …while the caller tokenizes the next chunk behind the same reader.
+    // …while the caller tokenizes the next chunk behind the same reader,
+    // then claims engines too.
     Status tok_status = Status::OK();
     if (!eof) {
-      auto r = FillChunk(reader, names, &next_node_id, chunk_events, &next);
+      auto r = FillChunk(reader, names, &next_node_id, chunk_events,
+                         &tok_ticker, &next);
       if (r.ok()) {
         eof = *r;
       } else {
@@ -545,14 +577,16 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     } else {
       next.Clear();
     }
+    advance_claimed(tasks);
     // Help-while-waiting: on a saturated pool (nested batches via
     // QueryBatchMulti) the chunk tasks may be queued behind workers that
     // are themselves waiting on their own chunks — the driver claims
     // them itself rather than deadlock.
     pool.HelpWhileWaiting(join);
     if (!tok_status.ok()) return tok_status;
+    for (const Status& st : claim_status) SMOQE_RETURN_IF_ERROR(st);
 
-    // Join: merge the groups' staging reports, then replay the shared
+    // Join: merge the engines' staging reports, then replay the shared
     // capture stream for this chunk on the driver thread.
     staged.assign(cur.events.size(), 0);
     for (auto& ps : states) {
@@ -600,7 +634,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
   // Final Cans selection per plan is independent — fan it out too.
   pool.ParallelFor(states.size(),
                    [&](size_t k) { states[k]->engine.FinishDocument(); });
-  return AssembleResults(states, cap);
+  return AssembleResults(states, cap, engine_of_);
 }
 
 EvalStats BatchEvaluator::AggregateStats(

@@ -5,14 +5,17 @@
 /// N compiled plans (MFAs sharing one name table) are advanced in
 /// lockstep over one forward scan of the XML text: the event stream, the
 /// name-table lookups, the element depth bookkeeping and the answer
-/// captures are shared across plans, while every plan keeps its own HyPE
-/// run sets and guards. Per-event cost therefore grows sublinearly in N —
-/// tokenization and capture serialization are paid once per document, not
-/// once per query (experiment E11, bench/bench_batch.cc).
+/// captures are shared across plans. Each *distinct* plan — one
+/// (MFA, EngineOptions) key — runs one HyPE engine with its own runs and
+/// guards; plans registered with the same key share it. Per-event cost
+/// therefore grows with the distinct plans, not with N: tokenization and
+/// capture serialization are paid once per document, engine work once
+/// per distinct plan (experiment E11, bench/bench_batch.cc). Engine state
+/// is flat (cans.h), so freeing an engine after the scan is cheap.
 ///
 /// RunParallel adds the second axis (experiment E13): one thread keeps
-/// the shared tokenizer, while per-plan engine advancement — the part
-/// that grows linearly in N — fans out across a thread pool in event
+/// the shared tokenizer, while engine advancement — the part that grows
+/// with the distinct plans — fans out across a thread pool in event
 /// chunks. Answers are byte-identical to Run (and to N sequential
 /// passes); only wall-clock changes.
 
@@ -36,8 +39,9 @@ struct BatchStaxOptions {
   /// Drop all-whitespace text events (matches the DOM parser's default).
   bool skip_whitespace_text = true;
   /// Per-request guardrail (deadline/cancel/budget); nullptr = ungoverned.
-  /// Checked at the scan loop (serial) / between chunks (parallel); a
-  /// tripped guard unwinds the whole batch — never partial answers.
+  /// Ticked at the scan loop (serial) / by each engine claimer and
+  /// between chunks (parallel); a tripped guard unwinds the whole batch —
+  /// never partial answers.
   const Guardrail* guard = nullptr;
 };
 
@@ -70,20 +74,24 @@ struct BatchParallelOptions {
 /// interned label per start tag, one attribute view per element, and one
 /// capture stack — a candidate subtree staged by *any* plan is serialized
 /// exactly once and demultiplexed to every plan that answers it. Each
-/// plan runs its own HypeEngine (own frames/runs/guards), and a plan
-/// whose runs die under dead-run pruning stops receiving events for that
-/// subtree while the scan continues for the others.
+/// distinct plan runs its own HypeEngine (own frames/runs/guards), and an
+/// engine whose runs die under dead-run pruning stops receiving events
+/// for that subtree while the scan continues for the others.
 ///
 /// Answers are byte-identical to N sequential EvalHypeStax passes
-/// (differential-tested); per-plan `stats.buffered_bytes` reports the
-/// shared peak capture footprint of the pass.
+/// (differential-tested). Every registered plan gets its own result with
+/// its engine's stats: `stats.batch_plans` is the number of engines on
+/// the scan, and `stats.buffered_bytes` the shared peak capture footprint
+/// of the pass.
 class BatchEvaluator {
  public:
   explicit BatchEvaluator(BatchStaxOptions options = {});
 
   /// Registers a compiled plan; returns its index in Run's result vector.
-  /// Every plan must share the first plan's name table (checked by Run).
-  /// The MFA must stay alive for the evaluator's lifetime.
+  /// A plan with the same MFA pointer and engine options as an earlier
+  /// one shares that plan's engine. Every plan must share the first
+  /// plan's name table (checked by Run). The MFA must stay alive for the
+  /// evaluator's lifetime.
   int AddPlan(const automata::Mfa* mfa, const EngineOptions& engine = {});
 
   /// Evaluates every registered plan in one forward scan of `xml`.
@@ -97,16 +105,20 @@ class BatchEvaluator {
   /// stream after each join. Every engine sees exactly the event sequence
   /// Run would deliver, so answers and per-plan stats are identical.
   /// Falls back to Run when the pool has no workers or there are fewer
-  /// than two plans.
+  /// than two distinct plans.
   Result<std::vector<StaxEvalResult>> RunParallel(
       std::string_view xml, const BatchParallelOptions& par = {}) const;
 
-  size_t plan_count() const { return plans_.size(); }
+  /// Registered plans (the length of Run's result vector).
+  size_t plan_count() const { return engine_of_.size(); }
+  /// Engines a scan runs: one per distinct (MFA, EngineOptions) key.
+  size_t engine_count() const { return engines_.size(); }
 
   /// Folds the per-plan stats of one batch into a single batch-level
   /// EvalStats via EvalStats::MergeFrom — identical for Run and
   /// RunParallel since the per-plan stats are (asserted in the
-  /// concurrency suite).
+  /// concurrency suite). Plans that share an engine each contribute its
+  /// stats, as if each had run its own.
   static EvalStats AggregateStats(const std::vector<StaxEvalResult>& results);
 
  private:
@@ -115,8 +127,13 @@ class BatchEvaluator {
     EngineOptions engine;
   };
 
+  Status CheckNameTables() const;
+
   BatchStaxOptions options_;
-  std::vector<Plan> plans_;
+  /// Distinct (MFA, EngineOptions) keys, in first-registration order.
+  std::vector<Plan> engines_;
+  /// Per registered plan: the index of its key in engines_.
+  std::vector<size_t> engine_of_;
 };
 
 /// One-shot convenience wrapper: evaluates `plans` (shared `engine`

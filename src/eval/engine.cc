@@ -206,9 +206,10 @@ InstId HypeEngine::Instantiate(PredId pred, const AttrProvider& attrs) {
   PredInstance inst;
   inst.pred = pred;
   inst.anchor = cur.id;
-  inst.leaf_witnesses.resize(p.leaf_obligations.size());
-  instances_.push_back(std::move(inst));
-  alloc_bytes_ += sizeof(PredInstance);
+  inst.leaf_base = witnesses_.AddLeaves(p.leaf_obligations.size());
+  instances_.push_back(inst);
+  alloc_bytes_ += sizeof(PredInstance) +
+                  p.leaf_obligations.size() * sizeof(int32_t);
   cur.inst_map.emplace_back(pred, id);
   cur.anchored.push_back(id);
   ++stats_.pred_instances;
@@ -290,7 +291,7 @@ void HypeEngine::HandleAccepts(const Run& run, const AttrProvider& attrs) {
     }
     if (run.is_selection) {
       if (cur.id >= 0) {
-        cans_.Add(cur.id, pool_.Materialize(g));
+        cans_.Add(cur.id, pool_.data(g), pool_.size(g));
         ++stats_.cans_entries;
         if (trace_) {
           trace_->Add({TraceEvent::Kind::kCandidate, cur.id, -1, false});
@@ -322,15 +323,10 @@ void HypeEngine::HandleAccepts(const Run& run, const AttrProvider& attrs) {
 }
 
 void HypeEngine::Witness(InstId owner, int leaf, GuardRef guard) {
-  std::vector<GuardRef>& alts = instances_[owner].leaf_witnesses[leaf];
-  for (GuardRef g : alts) {
-    if (pool_.IsSubset(g, guard)) return;
-  }
-  alts.erase(std::remove_if(
-                 alts.begin(), alts.end(),
-                 [&](GuardRef g) { return pool_.IsSubset(guard, g); }),
-             alts.end());
-  alts.push_back(guard);
+  const size_t links = witnesses_.link_count();
+  witnesses_.Add(instances_[owner].leaf_base + leaf, guard, pool_);
+  alloc_bytes_ +=
+      (witnesses_.link_count() - links) * sizeof(WitnessTable::Link);
 }
 
 void HypeEngine::AdvanceRun(const Frame& parent, const Run& r,
@@ -449,27 +445,22 @@ void HypeEngine::ResolveFrame(Frame* frame) {
        ++it) {
     PredInstance& inst = instances_[*it];
     const Pred& p = mfa_.pred(inst.pred);
-    std::vector<bool> leaf_values(p.leaf_obligations.size(), false);
-    for (size_t leaf = 0; leaf < leaf_values.size(); ++leaf) {
-      for (GuardRef g : inst.leaf_witnesses[leaf]) {
-        const InstId* deps = pool_.data(g);
-        const size_t n = pool_.size(g);
-        bool all = true;
-        for (size_t i = 0; i < n; ++i) {
-          assert(instances_[deps[i]].resolved);
-          if (!instances_[deps[i]].value) {
-            all = false;
-            break;
-          }
-        }
-        if (all) {
-          leaf_values[leaf] = true;
-          break;
-        }
-      }
-      inst.leaf_witnesses[leaf].clear();  // release memory early
+    leaf_values_.assign(p.leaf_obligations.size(), false);
+    for (size_t leaf = 0; leaf < leaf_values_.size(); ++leaf) {
+      // Releasing the leaf's witness links recycles them for later
+      // instances.
+      leaf_values_[leaf] = witnesses_.Release(
+          inst.leaf_base + static_cast<int32_t>(leaf), [&](GuardRef g) {
+            const InstId* deps = pool_.data(g);
+            const size_t n = pool_.size(g);
+            for (size_t i = 0; i < n; ++i) {
+              assert(instances_[deps[i]].resolved);
+              if (!instances_[deps[i]].value) return false;
+            }
+            return true;
+          });
     }
-    inst.value = p.Evaluate(leaf_values);
+    inst.value = p.Evaluate(leaf_values_);
     inst.resolved = true;
     if (trace_) {
       trace_->Add({TraceEvent::Kind::kInstanceResolve, inst.anchor, inst.pred,

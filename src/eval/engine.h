@@ -59,6 +59,14 @@ struct EngineOptions {
   /// on (is_selection, ob, owner, leaf, state) instead of a linear scan of
   /// the frame's runs.
   bool hashed_run_dedup = true;
+
+  bool operator==(const EngineOptions& o) const {
+    return trace == o.trace && dead_run_pruning == o.dead_run_pruning &&
+           guard_dominance == o.guard_dominance &&
+           label_dispatch == o.label_dispatch &&
+           guard_interning == o.guard_interning &&
+           hashed_run_dedup == o.hashed_run_dedup;
+  }
 };
 
 /// \brief HyPE — hybrid pass evaluation (paper §3, Evaluator).
@@ -248,6 +256,8 @@ class HypeEngine {
   std::vector<int32_t> dedup_head_;
   uint64_t frame_epoch_ = 0;
   std::vector<PredInstance> instances_;
+  WitnessTable witnesses_;
+  std::vector<bool> leaf_values_;  // ResolveFrame scratch
   Cans cans_;
   EvalStats stats_;
   std::vector<int32_t> answers_;

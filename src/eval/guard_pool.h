@@ -120,14 +120,6 @@ class GuardPool {
                          ea.data + ea.len);
   }
 
-  /// Copies an interned guard out into an owning GuardSet (used when
-  /// handing guards to structures that outlive pool entries' relevance,
-  /// e.g. Cans alternatives).
-  GuardSet Materialize(GuardRef g) const {
-    const Entry& e = entries_[static_cast<size_t>(g)];
-    return GuardSet(e.data, e.data + e.len);
-  }
-
   /// Number of non-empty pool entries (with interning on: distinct
   /// non-empty guard sets seen, so entry_count() == misses()). The
   /// canonical empty sentinel is not counted.

@@ -48,9 +48,10 @@ class TaxIndex {
   }
 
   /// Incrementally repairs the index after a structural edit whose lowest
-  /// changed element is `parent` (docs/DESIGN.md §6.4): builds sets for
-  /// nodes the edit grafted in (ids beyond the previous id range, or
-  /// listed in `new_subtrees`), clears sets of retired ids, then
+  /// changed element is `parent` (docs/DESIGN.md §6.4): grows the set
+  /// table to the document's id range, builds sets for the subtrees
+  /// listed in `new_subtrees` only (a grafted id outside those subtrees
+  /// keeps an empty set), clears sets of retired ids, then
   /// recomputes the descendant-type set of `parent` and of every ancestor
   /// up to the root from their children's (now final) sets. Sets created
   /// here use the *current* name-table width; untouched sets keep their

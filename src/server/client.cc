@@ -117,13 +117,16 @@ Status Client::SendBytes(std::string_view bytes) {
   if (fd_ < 0) return Status::FailedPrecondition("client not connected");
   size_t off = 0;
   while (off < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
+    // MSG_NOSIGNAL: a closed server connection is an EPIPE status, not a
+    // SIGPIPE.
+    const ssize_t n =
+        ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    Status s = Errno("write");
+    Status s = Errno("send");
     Close();
     return s;
   }

@@ -457,8 +457,11 @@ void Server::SendBytes(const std::shared_ptr<Connection>& conn,
 void Server::FlushWrites(const std::shared_ptr<Connection>& conn) {
   if (conn->fd < 0) return;
   while (conn->wbuf_off < conn->wbuf.size()) {
-    const ssize_t n = ::write(conn->fd, conn->wbuf.data() + conn->wbuf_off,
-                              conn->wbuf.size() - conn->wbuf_off);
+    // send + MSG_NOSIGNAL: a peer that hung up must surface as EPIPE
+    // here, not as a SIGPIPE that kills the hosting process.
+    const ssize_t n =
+        ::send(conn->fd, conn->wbuf.data() + conn->wbuf_off,
+               conn->wbuf.size() - conn->wbuf_off, MSG_NOSIGNAL);
     if (n > 0) {
       metrics_.Count(metrics_.bytes_written, static_cast<uint64_t>(n));
       conn->wbuf_off += static_cast<size_t>(n);

@@ -369,6 +369,76 @@ TEST(BatchParallelTest, RunParallelMatchesRunByteForByte) {
   }
 }
 
+TEST(BatchParallelTest, DuplicatePlansShareOneEngine) {
+  // A batch runs one engine per distinct (MFA, EngineOptions) key, yet
+  // every registered plan gets its own result — equal to what a batch of
+  // only the distinct plans gives that plan, under Run and RunParallel.
+  auto names = xml::NameTable::Create();
+  auto doc = workload::GenHospital(/*seed=*/23, 2000, names);
+  ASSERT_TRUE(doc.ok());
+  const std::string text = xml::SerializeDocument(*doc);
+  std::vector<std::unique_ptr<automata::Mfa>> mfas;
+  for (const char* q : {"//patient[visit/treatment/medication = 'autism']"
+                        "/pname",
+                        "//visit/date"}) {
+    auto parsed = rxpath::ParseQuery(q);
+    ASSERT_TRUE(parsed.ok());
+    auto mfa = automata::Mfa::Compile(**parsed, names);
+    ASSERT_TRUE(mfa.ok());
+    mfas.push_back(std::make_unique<automata::Mfa>(mfa.MoveValue()));
+  }
+  const automata::Mfa* a = mfas[0].get();
+  const automata::Mfa* b = mfas[1].get();
+  eval::EngineOptions traced;
+  traced.trace = true;
+
+  eval::BatchEvaluator distinct;
+  distinct.AddPlan(a);
+  distinct.AddPlan(b);
+  distinct.AddPlan(a, traced);
+  auto expected = distinct.Run(text);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  // Registered plan k runs on the engine of distinct plan want[k].
+  const std::vector<size_t> want = {0, 1, 0, 2, 1, 2, 0};
+  eval::BatchEvaluator batch;
+  for (size_t k : want) {
+    batch.AddPlan(k == 1 ? b : a, k == 2 ? traced : eval::EngineOptions{});
+  }
+  EXPECT_EQ(batch.plan_count(), want.size());
+  EXPECT_EQ(batch.engine_count(), 3u);
+
+  ThreadPool pool(4);
+  eval::BatchParallelOptions par;
+  par.pool = &pool;
+  par.chunk_events = 64;
+  auto serial = batch.Run(text);
+  auto parallel = batch.RunParallel(text, par);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  for (const auto* got : {&*serial, &*parallel}) {
+    ASSERT_EQ(got->size(), want.size());
+    for (size_t k = 0; k < want.size(); ++k) {
+      const auto& e = (*expected)[want[k]];
+      const auto& r = (*got)[k];
+      ASSERT_EQ(r.answers.size(), e.answers.size()) << "plan " << k;
+      for (size_t i = 0; i < e.answers.size(); ++i) {
+        EXPECT_EQ(r.answers[i].engine_id, e.answers[i].engine_id);
+        EXPECT_EQ(r.answers[i].xml, e.answers[i].xml) << "plan " << k;
+      }
+      EXPECT_EQ(r.stats.nodes_visited, e.stats.nodes_visited);
+      EXPECT_EQ(r.stats.nodes_pruned, e.stats.nodes_pruned);
+      EXPECT_EQ(r.stats.cans_entries, e.stats.cans_entries);
+      EXPECT_EQ(r.stats.pred_instances, e.stats.pred_instances);
+      EXPECT_EQ(r.stats.obligations, e.stats.obligations);
+      EXPECT_EQ(r.stats.max_active_pairs, e.stats.max_active_pairs);
+      EXPECT_EQ(r.stats.buffered_bytes, e.stats.buffered_bytes);
+      EXPECT_EQ(r.stats.batch_plans, 3u);  // engines on the scan
+    }
+  }
+  EXPECT_FALSE((*serial)[0].answers.empty());
+}
+
 TEST(BatchParallelTest, AggregateStatsIdenticalSerialAndParallel) {
   // Batch-level stats are the MergeFrom fold of the per-plan stats, and
   // the fold must not depend on how the batch executed: the aggregate of

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/automata/mfa.h"
+#include "src/eval/guard_pool.h"
 #include "tests/test_util.h"
 
 namespace smoqe::eval {
@@ -173,31 +176,110 @@ TEST(HypeTest, TraceRecordsLifecycle) {
 }
 
 // Cans unit behaviour.
+void AddGuard(Cans& cans, int32_t id, const std::vector<InstId>& guard) {
+  cans.Add(id, guard.data(), guard.size());
+}
+
 TEST(CansTest, DominanceAndSelection) {
   Cans cans;
   std::vector<PredInstance> insts(3);
-  insts[0] = {0, 0, true, true, {}};
-  insts[1] = {1, 0, true, false, {}};
-  insts[2] = {2, 0, true, true, {}};
+  insts[0] = {0, 0, true, true};
+  insts[1] = {1, 0, true, false};
+  insts[2] = {2, 0, true, true};
 
-  cans.Add(5, {0, 1});   // false (inst 1 false)
-  cans.Add(5, {0});      // true — dominates the previous alternative
-  cans.Add(9, {1});      // false
-  cans.Add(12, {});      // unconditional
-  cans.Add(20, {2});     // true
-  cans.Add(20, {1, 2});  // dominated, ignored
+  AddGuard(cans, 5, {0, 1});   // false (inst 1 false)
+  AddGuard(cans, 5, {0});      // true — dominates the previous alternative
+  AddGuard(cans, 9, {1});      // false
+  AddGuard(cans, 12, {});      // unconditional
+  AddGuard(cans, 20, {2});     // true
+  AddGuard(cans, 20, {1, 2});  // dominated, ignored
 
   auto sel = cans.Select(insts);
   EXPECT_EQ(sel, (std::vector<int32_t>{5, 12, 20}));
   EXPECT_EQ(cans.node_count(), 4u);
+  EXPECT_EQ(cans.entry_count(), 6u);
+  EXPECT_EQ(cans.alternative_count(0), 1u);  // {0} replaced {0, 1}
+  EXPECT_EQ(cans.alternative_count(3), 1u);  // {1, 2} never kept
 }
 
 TEST(CansTest, UnsatisfiedGuardsDropNode) {
   Cans cans;
   std::vector<PredInstance> insts(1);
-  insts[0] = {0, 0, true, false, {}};
-  cans.Add(3, {0});
+  insts[0] = {0, 0, true, false};
+  AddGuard(cans, 3, {0});
   EXPECT_TRUE(cans.Select(insts).empty());
+}
+
+TEST(CansTest, IncomparableAlternativesAreAllKept) {
+  Cans cans;
+  std::vector<PredInstance> insts(3);
+  insts[0] = {0, 0, true, false};
+  insts[1] = {1, 0, true, false};
+  insts[2] = {2, 0, true, true};
+  AddGuard(cans, 4, {0, 2});
+  AddGuard(cans, 4, {1});
+  AddGuard(cans, 4, {2});  // dominates {0, 2}, keeps {1}
+  EXPECT_EQ(cans.alternative_count(0), 2u);
+  AddGuard(cans, 7, {0});
+  AddGuard(cans, 7, {1});
+  EXPECT_EQ(cans.alternative_count(1), 2u);
+  // Node 4 survives through {2}; node 7's alternatives are both false.
+  EXPECT_EQ(cans.Select(insts), (std::vector<int32_t>{4}));
+  // An unconditional entry clears the rest.
+  AddGuard(cans, 9, {0});
+  AddGuard(cans, 9, {});
+  AddGuard(cans, 9, {1});
+  EXPECT_EQ(cans.alternative_count(2), 1u);
+  EXPECT_EQ(cans.Select(insts), (std::vector<int32_t>{4, 9}));
+}
+
+TEST(WitnessTableTest, DominanceKeepsOnlyMinimalGuards) {
+  GuardPool pool;
+  const InstId a01[] = {0, 1};
+  const InstId a0[] = {0};
+  const InstId a2[] = {2};
+  const InstId a12[] = {1, 2};
+  const GuardRef g01 = pool.Intern(a01, 2);
+  const GuardRef g0 = pool.Intern(a0, 1);
+  const GuardRef g2 = pool.Intern(a2, 1);
+  const GuardRef g12 = pool.Intern(a12, 2);
+  auto sorted = [](std::vector<GuardRef> v) {
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+
+  WitnessTable w;
+  const int32_t leaf = w.AddLeaves(2);
+  w.Add(leaf, g01, pool);
+  w.Add(leaf, g0, pool);  // {0} ⊆ {0, 1}: replaces it
+  EXPECT_EQ(w.Witnesses(leaf), (std::vector<GuardRef>{g0}));
+  w.Add(leaf, g2, pool);   // incomparable: kept beside {0}
+  w.Add(leaf, g12, pool);  // {2} ⊆ {1, 2}: dominated, ignored
+  w.Add(leaf, g0, pool);   // duplicate, ignored
+  EXPECT_EQ(sorted(w.Witnesses(leaf)), sorted({g0, g2}));
+  EXPECT_TRUE(w.Witnesses(leaf + 1).empty());  // leaves are independent
+  w.Add(leaf + 1, g12, pool);
+  w.Add(leaf, GuardPool::kEmpty, pool);  // unconditional: clears the rest
+  EXPECT_EQ(w.Witnesses(leaf), (std::vector<GuardRef>{GuardPool::kEmpty}));
+  EXPECT_EQ(w.Witnesses(leaf + 1), (std::vector<GuardRef>{g12}));
+
+  // Release evaluates the leaf once and recycles its links: a new leaf
+  // reuses them instead of growing the link array.
+  const size_t links = w.link_count();
+  std::vector<GuardRef> seen;
+  EXPECT_FALSE(w.Release(leaf + 1, [&](GuardRef g) {
+    seen.push_back(g);
+    return false;
+  }));
+  EXPECT_EQ(seen, (std::vector<GuardRef>{g12}));
+  EXPECT_TRUE(
+      w.Release(leaf, [](GuardRef g) { return g == GuardPool::kEmpty; }));
+  EXPECT_TRUE(w.Witnesses(leaf).empty());
+  const int32_t next = w.AddLeaves(1);
+  w.Add(next, g01, pool);
+  w.Add(next, g2, pool);
+  EXPECT_EQ(w.link_count(), links);
+  EXPECT_EQ(sorted(w.Witnesses(next)), sorted({g01, g2}));
 }
 
 }  // namespace

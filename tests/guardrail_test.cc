@@ -203,6 +203,14 @@ int64_t ElapsedMs(Clock::time_point t0) {
 // asserted without guessing host speed.
 class GuardrailFacadeTest : public ::testing::Test {
  protected:
+  // Room for every plan of the largest BigBatch(): a governed run then
+  // finds all its plans cached and spends its budget in the scan.
+  static EngineOptions BigBatchOptions() {
+    EngineOptions opts;
+    opts.plan_cache_capacity = kMaxBigBatch;
+    return opts;
+  }
+
   void SetUp() override {
     fault::FaultInjector::Instance().Reset();
     ASSERT_TRUE(
@@ -218,17 +226,29 @@ class GuardrailFacadeTest : public ::testing::Test {
       cached = new std::vector<BatchQueryItem>;
       QueryOptions stax;
       stax.mode = EvalMode::kStax;
-      for (int i = 0; i < 8; ++i) cached->push_back({kHotQuery, stax});
+      // Item i is the hot query with its own comparison constant: the
+      // shared scan runs one engine per *distinct* plan, so identical
+      // items would collapse into a single engine and never get slow.
+      auto hot_item = [&](size_t i) {
+        std::string q = kHotQuery;
+        if (i > 0) {
+          q.replace(q.find("'autism'"), 8, "'autism-" + std::to_string(i) +
+                                               "'");
+        }
+        return BatchQueryItem{q, stax};
+      };
+      for (size_t i = 0; i < 8; ++i) cached->push_back(hot_item(i));
       // Double the batch until an ungoverned pass takes ≥250ms: the
-      // shared StAX scan advances every plan per event, so cost scales
-      // with the item count.
-      while (cached->size() < 1024) {
+      // shared StAX scan advances every distinct plan per event, so cost
+      // scales with the item count.
+      while (cached->size() < kMaxBigBatch) {
         Clock::time_point t0 = Clock::now();
         auto r = engine_.QueryBatch("big", *cached);
         EXPECT_TRUE(r.ok()) << r.status().ToString();
         if (ElapsedMs(t0) >= 250) break;
-        const std::vector<BatchQueryItem> half = *cached;
-        cached->insert(cached->end(), half.begin(), half.end());
+        for (size_t i = cached->size(), n = 2 * i; i < n; ++i) {
+          cached->push_back(hot_item(i));
+        }
       }
     }
     return *cached;
@@ -238,7 +258,8 @@ class GuardrailFacadeTest : public ::testing::Test {
     return engine_.telemetry()->registry().GetCounter(name).Value();
   }
 
-  Smoqe engine_;
+  static constexpr size_t kMaxBigBatch = 1024;
+  Smoqe engine_{BigBatchOptions()};
 };
 
 TEST_F(GuardrailFacadeTest, DeadlineExceededWithinSlack) {
@@ -341,7 +362,7 @@ TEST_F(GuardrailFacadeTest, MidFlightCancellationUnwinds) {
 }
 
 TEST_F(GuardrailFacadeTest, AdmissionGateRejectsWhenFull) {
-  EngineOptions opts;
+  EngineOptions opts = BigBatchOptions();
   opts.max_pending_requests = 1;
   Smoqe gated(opts);
   auto xml = engine_.DocumentXml("big");
@@ -354,6 +375,15 @@ TEST_F(GuardrailFacadeTest, AdmissionGateRejectsWhenFull) {
   req.cancel = &token;
   Result<std::vector<QueryAnswer>> slow = Status::Internal("not run");
   std::thread worker([&] { slow = gated.QueryBatch("big", items, req); });
+
+  // Probe only once the slow batch provably holds the only slot: nothing
+  // else runs on `gated`, so an `engine.inflight` of 1 is the worker's
+  // admitted batch. Probing earlier races the worker for the slot, and on
+  // some schedules the probe wins and the batch is the one turned away.
+  const tel::Gauge& inflight =
+      gated.telemetry()->registry().GetGauge("engine.inflight");
+  for (int i = 0; i < 5000 && inflight.Value() < 1; ++i) SleepMs(1);
+  EXPECT_EQ(inflight.Value(), 1) << "the slow batch was never admitted";
 
   // While the slow batch holds the only slot, every other request must
   // fast-fail with RejectedBusy (never block, never partially answer).

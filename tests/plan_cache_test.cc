@@ -256,6 +256,98 @@ TEST_F(SmoqePlanCacheTest, BatchMatchesSequentialAcrossRolesAndModes) {
   EXPECT_EQ(batch->back().stats.batch_plans, 0u);  // the DOM item did not
 }
 
+TEST(SmoqeBatchDuplicatesTest, DuplicateItemsShareEnginesNotAnswers) {
+  // Items that hit one cached plan share one engine on the scan, yet each
+  // item keeps its own answer and its own audit record — serial (Run) and
+  // parallel (RunParallel) alike.
+  auto make_engine = [](int threads) {
+    EngineOptions o;
+    o.max_threads = threads;
+    o.stax_chunk_events = 64;
+    auto e = std::make_unique<Smoqe>(o);
+    EXPECT_TRUE(
+        e->RegisterDtd("hospital", workload::kHospitalDtd, "hospital").ok());
+    EXPECT_TRUE(e->LoadDocument("ward", kHospitalDoc).ok());
+    EXPECT_TRUE(e->DefineView("autism-group", "hospital",
+                              workload::kHospitalPolicyAutism)
+                    .ok());
+    EXPECT_TRUE(e->DefineView("research-group", "hospital",
+                              workload::kHospitalPolicyResearch)
+                    .ok());
+    return e;
+  };
+  auto item = [](const char* q, const char* view, EvalMode mode,
+                 bool explain) {
+    BatchQueryItem it;
+    it.query = q;
+    it.options.view = view;
+    it.options.mode = mode;
+    it.options.explain = explain;
+    return it;
+  };
+  const EvalMode kStax = EvalMode::kStax;
+  const std::vector<BatchQueryItem> items = {
+      item("//medication", "autism-group", kStax, false),
+      item("//medication", "autism-group", kStax, false),
+      item("//medication", "research-group", kStax, false),
+      item("//medication", "autism-group", kStax, true),
+      item("//medication", "autism-group", kStax, false),
+      item("//medication", "autism-group", EvalMode::kDom, false),
+      item("//treatment", "", kStax, false),
+      item("//medication", "autism-group", kStax, true),
+  };
+  // Engines: autism ×3, research, autism+explain ×2, unviewed //treatment.
+  const uint64_t kEngines = 4;
+  const uint64_t kViewItems = 7;
+
+  std::vector<std::vector<QueryAnswer>> runs;
+  for (int threads : {1, 4}) {
+    auto engine = make_engine(threads);
+    const uint64_t audit_before = engine->telemetry()->audit().total();
+    auto batch = engine->QueryBatch("ward", items);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->size(), items.size());
+    EXPECT_EQ(engine->telemetry()->audit().total(), audit_before + kViewItems);
+    tel::AuditFilter since;
+    since.min_seq = audit_before + 1;
+    std::vector<std::string> audited_views;
+    for (const auto& rec : engine->telemetry()->audit().Query(since)) {
+      audited_views.push_back(rec.view);
+    }
+    std::vector<std::string> viewed;
+    for (const BatchQueryItem& it : items) {
+      if (!it.options.view.empty()) viewed.push_back(it.options.view);
+    }
+    EXPECT_EQ(audited_views, viewed);
+    const auto& h = engine->telemetry()->registry().GetHistogram(
+        "batch.plans_per_scan");
+    EXPECT_EQ(h.Count(), 1u);
+    EXPECT_EQ(h.Max(), kEngines);
+
+    for (size_t i = 0; i < items.size(); ++i) {
+      const QueryAnswer& got = (*batch)[i];
+      ASSERT_TRUE(got.status.ok()) << "item " << i;
+      QueryOptions fresh = items[i].options;
+      fresh.bypass_plan_cache = true;
+      auto single = engine->Query("ward", items[i].query, fresh);
+      ASSERT_TRUE(single.ok()) << "item " << i;
+      EXPECT_FALSE(got.answers_xml.empty()) << "item " << i;
+      EXPECT_EQ(got.answers_xml, single->answers_xml) << "item " << i;
+      EXPECT_EQ(got.mfa_dump.empty(), !items[i].options.explain);
+      EXPECT_EQ(got.stats.batch_plans,
+                items[i].options.mode == kStax ? kEngines : 0u)
+          << "item " << i;
+    }
+    runs.push_back(std::move(*batch));
+  }
+  // Run ≡ RunParallel, item by item.
+  for (size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(runs[0][i].answers_xml, runs[1][i].answers_xml) << "item " << i;
+    EXPECT_EQ(runs[0][i].stats.nodes_visited, runs[1][i].stats.nodes_visited);
+    EXPECT_EQ(runs[0][i].stats.cans_entries, runs[1][i].stats.cans_entries);
+  }
+}
+
 TEST_F(SmoqePlanCacheTest, BatchErrorPaths) {
   // An unknown *document* is a whole-call error — it names a catalog
   // problem, not an item problem.

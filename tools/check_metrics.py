@@ -54,6 +54,7 @@ REQUIRED_GAUGES = [
     "snapshot.created",
     "audit.total",
     "audit.dropped",
+    "engine.inflight",
 ]
 
 REQUIRED_HISTOGRAMS = [
@@ -93,6 +94,8 @@ def check_json(data):
         fail("pool executed != submitted after quiescence")
     if g["pool.queue_depth"] != 0:
         fail("pool queue depth must be 0 after quiescence")
+    if g["engine.inflight"] != 0:
+        fail("engine.inflight must be 0 after quiescence")
     if g["audit.total"] < c["update.rejected"]:
         fail("audit.total must cover every rejection")
     if g["snapshot.live"] < 1 or g["snapshot.created"] < g["snapshot.live"]:
