@@ -16,7 +16,6 @@
 
 #include "src/common/status.h"
 #include "src/index/tax.h"
-#include "src/view/access.h"
 #include "src/view/annotation.h"
 #include "src/view/materialize.h"
 #include "src/view/view_def.h"
@@ -25,18 +24,16 @@
 
 namespace smoqe::core {
 
-/// Per-(document, view) caches derived from one document epoch: the
-/// materialized view with provenance, and the node-level access map. Both
-/// are invalidated by comparing `*_epoch` against `dom.epoch()` — a
+/// Per-(document, view) materialization cache of one document epoch: the
+/// materialized view with provenance, serving MaterializeView only. It is
+/// invalidated by comparing `mv_epoch` against `dom.epoch()` — a
 /// successful update bumps the epoch, and the facade either rebuilds
 /// lazily on next use or *retains* the materialization when the edit
 /// provably could not change it (DESIGN.md §6.5).
 struct ViewCacheEntry {
-  uint64_t fingerprint = 0;  ///< ViewEntry::fingerprint the caches match
+  uint64_t fingerprint = 0;  ///< ViewEntry::fingerprint the cache matches
   uint64_t mv_epoch = 0;     ///< document epoch `mv` is valid at
   std::optional<view::MaterializedView> mv;
-  uint64_t access_epoch = 0;  ///< document epoch `access` is valid at
-  std::unique_ptr<view::AccessMap> access;  ///< null until first needed
 };
 
 /// \brief One epoch's immutable view of a document: the tree, its TAX
@@ -129,8 +126,8 @@ struct DocumentEntry {
   /// Serializes writers (Update, BuildIndex, LoadIndex): clone → mutate →
   /// publish must not interleave.
   std::mutex writer_mu;
-  /// Guards view_caches (materializations + access maps are shared
-  /// mutable service state, unlike the snapshots).
+  /// Guards view_caches (materializations are shared mutable service
+  /// state, unlike the snapshots).
   std::mutex caches_mu;
   /// Per-view caches, keyed by view name. Guarded by caches_mu.
   std::map<std::string, ViewCacheEntry> view_caches;

@@ -14,7 +14,6 @@
 #include "src/eval/hype_stax.h"
 #include "src/index/tax_io.h"
 #include "src/rewrite/rewriter.h"
-#include "src/rxpath/naive_eval.h"
 #include "src/rxpath/parser.h"
 #include "src/rxpath/printer.h"
 #include "src/rxpath/type_check.h"
@@ -409,7 +408,12 @@ Result<Smoqe::PlanUse> Smoqe::GetPlan(std::string_view query_text,
     tel::SpanScope span(tr, "parse");
     SMOQE_ASSIGN_OR_RETURN(query, rxpath::ParseQuery(query_text));
   }
+  return GetPlan(*query, options, tr);
+}
 
+Result<Smoqe::PlanUse> Smoqe::GetPlan(const rxpath::PathExpr& query,
+                                      const QueryOptions& options,
+                                      tel::Trace* tr) {
   const ViewEntry* view = nullptr;
   PlanCache::Key key;
   key.view = options.view;
@@ -423,7 +427,7 @@ Result<Smoqe::PlanUse> Smoqe::GetPlan(std::string_view query_text,
   }
   // Canonical printer rendering, so surface variants of one query share
   // one cache entry ("//a [b]" ≡ "//a[b]").
-  key.normalized_query = rxpath::ToString(*query);
+  key.normalized_query = rxpath::ToString(query);
 
   if (!options.bypass_plan_cache) {
     tel::SpanScope span(tr, "cache_lookup");
@@ -438,17 +442,17 @@ Result<Smoqe::PlanUse> Smoqe::GetPlan(std::string_view query_text,
   if (view == nullptr) {
     tel::SpanScope span(tr, "compile");
     SMOQE_ASSIGN_OR_RETURN(compiled->mfa,
-                           automata::Mfa::Compile(*query, names_));
+                           automata::Mfa::Compile(query, names_));
   } else {
     tel::SpanScope span(tr, "rewrite");
     // Query assistance: flag labels that are not part of the schema the
     // user group sees (they can never match — typo or access attempt).
     rxpath::TypeCheckResult tc = rxpath::TypeCheck(
-        *query, view->definition.view_dtd(), {}, /*from_document_node=*/true);
+        query, view->definition.view_dtd(), {}, /*from_document_node=*/true);
     compiled->unknown_labels.assign(tc.unknown_labels.begin(),
                                     tc.unknown_labels.end());
     SMOQE_ASSIGN_OR_RETURN(
-        compiled->mfa, rewrite::RewriteToMfa(*query, view->definition, names_));
+        compiled->mfa, rewrite::RewriteToMfa(query, view->definition, names_));
   }
   compiled->normalized_query = key.normalized_query;
   std::shared_ptr<const CompiledPlan> plan = std::move(compiled);
@@ -1075,52 +1079,6 @@ Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMulti(
   return result;
 }
 
-Result<ViewCacheEntry*> Smoqe::GetViewCacheLocked(DocumentEntry* doc,
-                                                  const DocumentSnapshot& snap,
-                                                  const std::string& view_name,
-                                                  const ViewEntry* view,
-                                                  bool* cache_hit) {
-  ViewCacheEntry& cache = doc->view_caches[view_name];
-  if (cache.mv.has_value() && cache.fingerprint == view->fingerprint &&
-      cache.mv_epoch == snap.epoch) {
-    if (cache_hit != nullptr) *cache_hit = true;
-    return &cache;
-  }
-  SMOQE_ASSIGN_OR_RETURN(view::MaterializedView mv,
-                         view::Materialize(view->definition, *snap.dom));
-  if (cache.fingerprint != view->fingerprint) {
-    cache.access.reset();  // access maps are per-policy too
-  }
-  cache.fingerprint = view->fingerprint;
-  cache.mv_epoch = snap.epoch;
-  cache.mv.emplace(std::move(mv));
-  if (cache_hit != nullptr) *cache_hit = false;
-  return &cache;
-}
-
-Result<const view::AccessMap*> Smoqe::GetAccessMapLocked(
-    DocumentEntry* doc, const DocumentSnapshot& snap,
-    const std::string& view_name, const ViewEntry* view) {
-  if (view->policy == nullptr) {
-    return Status::FailedPrecondition(
-        "view '" + view_name +
-        "' was registered from a specification, not a policy; updates "
-        "require a policy-derived view");
-  }
-  ViewCacheEntry& cache = doc->view_caches[view_name];
-  if (cache.access == nullptr || cache.fingerprint != view->fingerprint ||
-      cache.access_epoch != snap.epoch) {
-    cache.access = std::make_unique<view::AccessMap>(
-        view::AccessMap::Compute(*view->policy, *snap.dom));
-    cache.access_epoch = snap.epoch;
-    if (cache.fingerprint != view->fingerprint) {
-      cache.mv.reset();  // fingerprint owner changed; drop the sibling cache
-      cache.fingerprint = view->fingerprint;
-    }
-  }
-  return cache.access.get();
-}
-
 Result<MaterializedViewAnswer> Smoqe::MaterializeView(
     const std::string& doc_name, const std::string& view_name) {
   DocumentEntry* doc = nullptr;
@@ -1136,15 +1094,23 @@ Result<MaterializedViewAnswer> Smoqe::MaterializeView(
     return Status::NotFound("view '" + view_name + "' is not registered");
   }
   snap = doc->Acquire();
-  bool cache_hit = false;
+  // The per-(document, view) cache over the snapshot's epoch, rebuilt on
+  // a fingerprint or epoch mismatch.
   std::lock_guard<std::mutex> caches(doc->caches_mu);
-  SMOQE_ASSIGN_OR_RETURN(
-      ViewCacheEntry * cache,
-      GetViewCacheLocked(doc, *snap, view_name, view, &cache_hit));
+  ViewCacheEntry& cache = doc->view_caches[view_name];
   MaterializedViewAnswer out;
-  out.xml = xml::SerializeDocument(cache->mv->document);
-  out.cache_hit = cache_hit;
-  out.epoch = cache->mv_epoch;
+  out.cache_hit = cache.mv.has_value() &&
+                  cache.fingerprint == view->fingerprint &&
+                  cache.mv_epoch == snap->epoch;
+  if (!out.cache_hit) {
+    SMOQE_ASSIGN_OR_RETURN(view::MaterializedView mv,
+                           view::Materialize(view->definition, *snap->dom));
+    cache.fingerprint = view->fingerprint;
+    cache.mv_epoch = snap->epoch;
+    cache.mv.emplace(std::move(mv));
+  }
+  out.xml = xml::SerializeDocument(cache.mv->document);
+  out.epoch = cache.mv_epoch;
   return out;
 }
 
@@ -1214,35 +1180,44 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
   // stay pinned to the base snapshot for as long as they need it.
   std::lock_guard<std::mutex> writer(doc->writer_mu);
   std::shared_ptr<const DocumentSnapshot> base = doc->Acquire();
+  const xml::Document& base_dom = *base->dom;
 
-  // Resolve the target set to document node ids. View updates resolve in
-  // the view's virtual document (via the epoch-cached materialization and
-  // its provenance); direct updates resolve on the document itself.
+  // Resolve the target set the way a query is answered (DESIGN.md §6.1):
+  // a view target is rewritten into an MFA over the document, a direct
+  // one compiled as-is, both through the plan cache, and one HyPE pass
+  // over the pinned base (TAX-pruned when indexed) selects it. The
+  // answers are document nodes already: no materialization, no
+  // provenance map.
+  if (view != nullptr) {
+    if (view->policy == nullptr) {
+      return Status::FailedPrecondition(
+          "view '" + options.view +
+          "' was registered from a specification, not a policy; updates "
+          "require a policy-derived view");
+    }
+    // The rewritten MFA would simply select nothing under a foreign root;
+    // a view over another document type is a caller error.
+    const std::string& root_name =
+        base_dom.names()->NameOf(base_dom.root()->label);
+    if (root_name != view->definition.root()) {
+      return Status::InvalidArgument("document root '" + root_name +
+                                     "' does not match view root '" +
+                                     view->definition.root() + "'");
+    }
+  }
+  QueryOptions plan_opts;
+  plan_opts.view = options.view;
+  SMOQE_ASSIGN_OR_RETURN(PlanUse plan, GetPlan(*stmt.target, plan_opts, tr));
   std::set<int32_t> target_ids;
   {
     tel::SpanScope span(tr, "resolve");
-    if (view == nullptr) {
-      rxpath::NaiveEvaluator eval(*base->dom);
-      for (const xml::Node* n : eval.Eval(*stmt.target)) {
-        target_ids.insert(n->node_id);
-      }
-    } else {
-      if (view->policy == nullptr) {
-        return Status::FailedPrecondition(
-            "view '" + options.view +
-            "' was registered from a specification, not a policy; updates "
-            "require a policy-derived view");
-      }
-      std::lock_guard<std::mutex> caches(doc->caches_mu);
-      SMOQE_ASSIGN_OR_RETURN(
-          ViewCacheEntry * cache,
-          GetViewCacheLocked(doc, *base, options.view, view, nullptr));
-      rxpath::NaiveEvaluator eval(cache->mv->document);
-      for (const xml::Node* n : eval.Eval(*stmt.target)) {
-        int32_t src = cache->mv->source_node_id[n->node_id];
-        if (src >= 0) target_ids.insert(src);
-      }
-    }
+    eval::DomEvalOptions dom_opts;
+    dom_opts.guard = guard;
+    dom_opts.tax = base->tax.get();
+    SMOQE_ASSIGN_OR_RETURN(
+        eval::DomEvalResult r,
+        eval::EvalHypeDom(plan.plan->mfa, base_dom, dom_opts));
+    for (const xml::Node* n : r.answers) target_ids.insert(n->node_id);
   }
 
   UpdateResult out;
@@ -1251,50 +1226,37 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
   out.stats.doc_epoch = base->epoch;
   if (target_ids.empty()) return out;  // nothing selected: a successful no-op
 
-  // Target resolution walked the whole document; re-check before the
-  // expensive clone.
-  if (guard != nullptr) SMOQE_RETURN_IF_ERROR(guard->Check());
-
-  // Copy-on-write: every check and mutation below runs against a private
-  // clone; the published snapshot is untouched until the final Publish.
-  // Ids, orders and the epoch survive the clone, so id-keyed caches
-  // (access maps, provenance) computed at the base epoch apply verbatim.
-  xml::Document clone = base->dom->Clone();
-  // Post-clone growth (fragment grafts) charges the request budget; the
-  // clone itself is the document's standing footprint, not request-owned.
-  if (guard != nullptr) clone.set_memory_budget(guard->budget());
+  // The script addresses the pinned base: authorization, dry-run
+  // validation and the retention test only read it, so a rejected or
+  // dry-run update copies nothing.
   const xml::Document* fragment =
       stmt.fragment.has_value() ? &*stmt.fragment : nullptr;
   std::vector<update::ResolvedEdit> script;
   for (int32_t id : target_ids) {
     script.push_back(
-        update::ResolvedEdit{stmt.kind, clone.mutable_node(id), fragment});
+        update::ResolvedEdit{stmt.kind, base_dom.node(id), fragment});
   }
 
   // Authorize (view updates only), then validate — both before any
   // mutation, so a rejected or invalid update leaves everything intact.
+  // Only the effect region is classified (DESIGN.md §6.2).
   if (view != nullptr) {
     tel::SpanScope span(tr, "authorize");
-    std::lock_guard<std::mutex> caches(doc->caches_mu);
-    SMOQE_ASSIGN_OR_RETURN(
-        const view::AccessMap* access,
-        GetAccessMapLocked(doc, *base, options.view, view));
+    const view::AccessMap access =
+        update::EffectRegionAccess(*view->policy, base_dom, script);
     SMOQE_RETURN_IF_ERROR(
-        update::AuthorizeScript(*view->policy, *access, clone, script));
+        update::AuthorizeScript(*view->policy, access, base_dom, script));
   }
 
-  std::optional<index::TaxIndex> tax_copy;
-  if (base->tax != nullptr) tax_copy.emplace(*base->tax);
   update::ApplierOptions apply_opts;
   apply_opts.dtd = dtd;
-  apply_opts.tax = tax_copy.has_value() ? &*tax_copy : nullptr;
   apply_opts.rebuild_tax = options.rebuild_tax;
   apply_opts.guard = guard;
-  update::UpdateApplier applier(&clone, apply_opts);
   if (options.dry_run) {
     tel::SpanScope span(tr, "validate");
-    SMOQE_RETURN_IF_ERROR(applier.Validate(script));
-    return out;  // the clone is discarded; nothing was published
+    SMOQE_RETURN_IF_ERROR(
+        update::UpdateApplier(&base_dom, apply_opts).Validate(script));
+    return out;  // nothing was copied or published
   }
 
   // View-cache retention (DESIGN.md §6.5): decide per *fresh* cached view
@@ -1304,70 +1266,44 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
   std::vector<std::string> retain;
   {
     std::lock_guard<std::mutex> caches(doc->caches_mu);
-    for (auto& [name, cache] : doc->view_caches) {
+    for (const auto& [name, cache] : doc->view_caches) {
       if (!cache.mv.has_value() || cache.mv_epoch != base->epoch) continue;
       const ViewEntry* v = catalog_.FindView(name);
       if (v == nullptr || v->fingerprint != cache.fingerprint ||
           v->policy == nullptr || v->policy->HasConditions()) {
         continue;
       }
-      auto access = GetAccessMapLocked(doc, *base, name, v);
-      if (!access.ok()) continue;
-      bool irrelevant = true;
-      for (const update::ResolvedEdit& e : script) {
-        if (e.kind != update::OpKind::kInsert &&
-            !(*access)->SubtreeHidden(e.target)) {
-          irrelevant = false;
-          break;
-        }
-        if (e.kind != update::OpKind::kDelete) {
-          // The grafted fragment must be entirely hidden from this view:
-          // with a qualifier-free policy that reduces to "the graft edge or
-          // an inherited Deny hides every fragment node". Walk the fragment
-          // simulating edge annotations from the graft parent's status.
-          const xml::Node* graft_parent =
-              e.kind == update::OpKind::kInsert ? e.target : e.target->parent;
-          if (graft_parent == nullptr) {
-            irrelevant = false;  // replacing the root is never irrelevant
-            break;
-          }
-          const xml::NameTable& names = *clone.names();
-          const xml::NameTable& fnames = *e.fragment->names();
-          struct Item {
-            const std::string* parent_name;
-            const xml::Node* node;
-            bool visible;
-          };
-          std::vector<Item> stack = {
-              {&names.NameOf(graft_parent->label), e.fragment->root(),
-               (*access)->visible(graft_parent->node_id)}};
-          while (irrelevant && !stack.empty()) {
-            Item it = stack.back();
-            stack.pop_back();
-            const std::string& child_name = fnames.NameOf(it.node->label);
-            const view::Annotation* ann =
-                v->policy->Find(*it.parent_name, child_name);
-            bool child_visible = it.visible;
-            if (ann != nullptr) {
-              child_visible = ann->kind == view::AnnKind::kAllow;
-            }
-            if (child_visible) {
-              irrelevant = false;
-              break;
-            }
-            for (const xml::Node* c = it.node->first_child; c != nullptr;
-                 c = c->next_sibling) {
-              if (c->is_element()) {
-                stack.push_back({&child_name, c, child_visible});
-              }
-            }
-          }
-          if (!irrelevant) break;
-        }
+      const view::AccessMap access =
+          update::EffectRegionAccess(*v->policy, base_dom, script);
+      if (update::ScriptHiddenFrom(*v->policy, access, base_dom, script)) {
+        retain.push_back(name);
       }
-      if (irrelevant) retain.push_back(name);
     }
   }
+
+  // Accepted: copy-on-write from here on. The clone is the update's
+  // largest allocation, so a request out of time or budget stops first.
+  if (guard != nullptr) SMOQE_RETURN_IF_ERROR(guard->Check());
+  // Every mutation runs against a private clone; the published snapshot
+  // is untouched until the final Publish. Ids, orders and the epoch
+  // survive the clone, so the script moves over by id.
+  xml::Document clone = [&] {
+    tel::SpanScope span(tr, "clone");
+    return base_dom.Clone();
+  }();
+  // Post-clone growth (fragment grafts) charges the request budget; the
+  // clone itself is the document's standing footprint, not request-owned.
+  if (guard != nullptr) clone.set_memory_budget(guard->budget());
+  for (update::ResolvedEdit& e : script) {
+    e.target = clone.node(e.target->node_id);
+  }
+  std::optional<index::TaxIndex> tax_copy;
+  if (base->tax != nullptr) {
+    tel::SpanScope span(tr, "tax_copy");
+    tax_copy.emplace(*base->tax);
+  }
+  apply_opts.tax = tax_copy.has_value() ? &*tax_copy : nullptr;
+  update::UpdateApplier applier(&clone, apply_opts);
 
   update::ApplyStats applied;
   {
@@ -1414,8 +1350,7 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
 
   // Epoch bookkeeping of the derived caches: retained materializations
   // jump to the new epoch; everything else is now stale and rebuilds on
-  // next use (the access maps always go stale — node-level statuses can
-  // change whenever the tree does).
+  // next use.
   {
     std::lock_guard<std::mutex> caches(doc->caches_mu);
     for (const std::string& name : retain) {

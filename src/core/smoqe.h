@@ -21,6 +21,7 @@
 #include "src/common/thread_pool.h"
 #include "src/core/catalog.h"
 #include "src/core/plan_cache.h"
+#include "src/rxpath/ast.h"
 #include "src/telemetry/telemetry.h"
 #include "src/xml/name_table.h"
 
@@ -473,6 +474,9 @@ class Smoqe {
   /// parse / cache_lookup / compile / rewrite spans.
   Result<PlanUse> GetPlan(std::string_view query_text,
                           const QueryOptions& options, tel::Trace* tr);
+  /// The same, for an already-parsed query (an update's target path).
+  Result<PlanUse> GetPlan(const rxpath::PathExpr& query,
+                          const QueryOptions& options, tel::Trace* tr);
 
   /// Evaluates a resolved plan over a pinned snapshot (single query).
   /// Takes no lock; safe on any thread. `guard` (nullable) is polled by
@@ -564,21 +568,6 @@ class Smoqe {
                              const std::vector<size_t>& error_ids,
                              const Guardrail* guard,
                              std::vector<QueryAnswer>* out, tel::Trace* tr);
-
-  /// The view's materialized-view cache over the snapshot's epoch,
-  /// rebuilt if stale (fingerprint or epoch mismatch). Caller holds
-  /// doc->caches_mu; `cache_hit` reports which happened.
-  Result<ViewCacheEntry*> GetViewCacheLocked(DocumentEntry* doc,
-                                             const DocumentSnapshot& snap,
-                                             const std::string& view_name,
-                                             const ViewEntry* view,
-                                             bool* cache_hit);
-
-  /// The view's node-level access map at the snapshot's epoch, recomputed
-  /// if stale. Caller holds doc->caches_mu.
-  Result<const view::AccessMap*> GetAccessMapLocked(
-      DocumentEntry* doc, const DocumentSnapshot& snap,
-      const std::string& view_name, const ViewEntry* view);
 
   std::shared_ptr<xml::NameTable> names_;
   EngineOptions options_;

@@ -80,6 +80,12 @@ Status UpdateApplier::Plan(const std::vector<ResolvedEdit>& script,
     if (!e.target->is_element()) {
       return Status::InvalidArgument("edit target must be an element");
     }
+    // Commit mutates through the document's own handle, found by id.
+    if (e.target->node_id < 0 || e.target->node_id >= doc_->num_nodes() ||
+        doc_->node(e.target->node_id) != e.target) {
+      return Status::InvalidArgument(
+          "edit target is not a node of the updated document");
+    }
     auto [it, fresh] = op_of.emplace(e.target,
                                      std::make_pair(e.kind, e.fragment));
     if (!fresh && it->second != std::make_pair(e.kind, e.fragment)) {
@@ -140,10 +146,12 @@ Status UpdateApplier::Plan(const std::vector<ResolvedEdit>& script,
 
   // Per-parent child-sequence simulation. First project removals and
   // replacements, then place the inserts (rightmost valid position).
-  std::map<xml::Node*, ParentProjection> parents;
-  auto project = [&](xml::Node* parent) -> ParentProjection& {
-    auto it = parents.find(parent);
-    if (it != parents.end()) return it->second;
+  // Keyed by node id, so the final check below reports the same parent
+  // first on any copy of the document (pointer order is heap layout).
+  std::map<int32_t, std::pair<const xml::Node*, ParentProjection>> parents;
+  auto project = [&](const xml::Node* parent) -> ParentProjection& {
+    auto it = parents.find(parent->node_id);
+    if (it != parents.end()) return it->second.second;
     ParentProjection proj;
     for (const xml::Node* c = parent->first_child; c != nullptr;
          c = c->next_sibling) {
@@ -161,7 +169,9 @@ Status UpdateApplier::Plan(const std::vector<ResolvedEdit>& script,
       }
       proj.labels.push_back(names.NameOf(c->label));
     }
-    return parents.emplace(parent, std::move(proj)).first->second;
+    auto added = parents.emplace(parent->node_id,
+                                 std::make_pair(parent, std::move(proj)));
+    return added.first->second.second;
   };
 
   for (PlannedEdit& pe : *plan) {
@@ -170,9 +180,9 @@ Status UpdateApplier::Plan(const std::vector<ResolvedEdit>& script,
     if (options_.guard != nullptr) {
       SMOQE_RETURN_IF_ERROR(options_.guard->Check());
     }
-    xml::Node* affected = pe.edit.kind == OpKind::kInsert
-                              ? pe.edit.target
-                              : pe.edit.target->parent;
+    const xml::Node* affected = pe.edit.kind == OpKind::kInsert
+                                    ? pe.edit.target
+                                    : pe.edit.target->parent;
     if (affected == nullptr) continue;  // replace-root: checked above
     ParentProjection& proj = project(affected);
     if (pe.edit.kind != OpKind::kInsert) continue;
@@ -206,7 +216,8 @@ Status UpdateApplier::Plan(const std::vector<ResolvedEdit>& script,
   // Parents affected only by removals still need their final sequence
   // checked (inserts validated theirs along the way, but revalidating the
   // final projection is cheap and uniform).
-  for (const auto& [parent, proj] : parents) {
+  for (const auto& [id, entry] : parents) {
+    const auto& [parent, proj] = entry;
     SMOQE_RETURN_IF_ERROR(
         xml::ValidateChildSequence(dtd, names.NameOf(parent->label),
                                    proj.labels, proj.has_text, {}, &models)
@@ -247,17 +258,20 @@ Result<ApplyStats> UpdateApplier::Commit(const std::vector<PlannedEdit>& plan,
       CollectSubtreeIds(e.target, &retired);
       stats.nodes_deleted += retired.size() - mark;
       const xml::Node* parent = e.target->parent;
-      doc_->RemoveSubtree(e.target);
+      mutable_doc_->RemoveSubtree(
+          mutable_doc_->mutable_node(e.target->node_id));
       mark_dirty(parent, nullptr);
       ++stats.edits_applied;
     } else if (e.kind == OpKind::kReplace) {
       const size_t mark = retired.size();
       CollectSubtreeIds(e.target, &retired);
       stats.nodes_deleted += retired.size() - mark;
-      xml::Node* copy = doc_->ImportSubtree(e.fragment->root(), *e.fragment);
+      xml::Node* copy =
+          mutable_doc_->ImportSubtree(e.fragment->root(), *e.fragment);
       stats.nodes_inserted += SubtreeSize(copy);
       const xml::Node* parent = e.target->parent;
-      doc_->ReplaceSubtree(e.target, copy);
+      mutable_doc_->ReplaceSubtree(
+          mutable_doc_->mutable_node(e.target->node_id), copy);
       mark_dirty(parent != nullptr ? parent : copy, copy);
       ++stats.edits_applied;
     }
@@ -265,14 +279,16 @@ Result<ApplyStats> UpdateApplier::Commit(const std::vector<PlannedEdit>& plan,
   for (const PlannedEdit& pe : plan) {
     const ResolvedEdit& e = pe.edit;
     if (e.kind != OpKind::kInsert) continue;
-    xml::Node* copy = doc_->ImportSubtree(e.fragment->root(), *e.fragment);
+    xml::Node* copy =
+        mutable_doc_->ImportSubtree(e.fragment->root(), *e.fragment);
     stats.nodes_inserted += SubtreeSize(copy);
-    doc_->AttachChild(e.target, copy, pe.elem_pos);
+    mutable_doc_->AttachChild(mutable_doc_->mutable_node(e.target->node_id),
+                              copy, pe.elem_pos);
     mark_dirty(e.target, copy);
     ++stats.edits_applied;
   }
 
-  doc_->RefreshOrder();
+  mutable_doc_->RefreshOrder();
 
   if (options_.tax != nullptr) {
     if (options_.rebuild_tax) {
@@ -296,6 +312,10 @@ Result<ApplyStats> UpdateApplier::Commit(const std::vector<PlannedEdit>& plan,
 }
 
 Result<ApplyStats> UpdateApplier::Run(const std::vector<ResolvedEdit>& script) {
+  if (mutable_doc_ == nullptr) {
+    return Status::FailedPrecondition(
+        "update applier was built over a read-only document");
+  }
   std::vector<PlannedEdit> plan;
   uint64_t dropped = 0;
   SMOQE_RETURN_IF_ERROR(Plan(script, &plan, &dropped));

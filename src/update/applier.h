@@ -29,10 +29,12 @@ namespace smoqe::update {
 ///
 /// For kInsert, `target` is the *parent* the fragment is grafted under;
 /// for kDelete/kReplace it is the subtree being removed/swapped. Targets
-/// are always element nodes (Regular XPath selects elements).
+/// are always element nodes (Regular XPath selects elements) of the
+/// document the applier works on; Run mutates them through that
+/// document's own handle, so a script may be built from read-only nodes.
 struct ResolvedEdit {
   OpKind kind = OpKind::kDelete;
-  xml::Node* target = nullptr;
+  const xml::Node* target = nullptr;
   /// Fragment grafted by kInsert/kReplace (a copy per edit); null for
   /// kDelete. Owned by the caller (typically the UpdateStatement).
   const xml::Document* fragment = nullptr;
@@ -80,6 +82,11 @@ struct ApplierOptions {
 class UpdateApplier {
  public:
   UpdateApplier(xml::Document* doc, const ApplierOptions& options)
+      : doc_(doc), mutable_doc_(doc), options_(options) {}
+
+  /// A validate-only applier over a read-only document (a published
+  /// snapshot): Validate works, Run fails with FailedPrecondition.
+  UpdateApplier(const xml::Document* doc, const ApplierOptions& options)
       : doc_(doc), options_(options) {}
 
   /// Validates without mutating (the dry-run entry).
@@ -100,7 +107,8 @@ class UpdateApplier {
   Result<ApplyStats> Commit(const std::vector<PlannedEdit>& plan,
                             uint64_t dropped);
 
-  xml::Document* doc_;
+  const xml::Document* doc_;
+  xml::Document* mutable_doc_ = nullptr;  ///< null for a validate-only applier
   ApplierOptions options_;
 };
 

@@ -88,6 +88,17 @@ Status CheckGraftedFragment(const view::Policy& policy,
 
 }  // namespace
 
+view::AccessMap EffectRegionAccess(const view::Policy& policy,
+                                   const xml::Document& doc,
+                                   const std::vector<ResolvedEdit>& script) {
+  std::vector<const xml::Node*> anchors, subtrees;
+  for (const ResolvedEdit& e : script) {
+    if (e.target == nullptr) continue;  // AuthorizeScript rejects it
+    (e.kind == OpKind::kInsert ? anchors : subtrees).push_back(e.target);
+  }
+  return view::AccessMap::ComputeRegion(policy, doc, anchors, subtrees);
+}
+
 Status AuthorizeScript(const view::Policy& policy,
                        const view::AccessMap& access,
                        const xml::Document& doc,
@@ -136,6 +147,48 @@ Status AuthorizeScript(const view::Policy& policy,
     }
   }
   return Status::OK();
+}
+
+bool ScriptHiddenFrom(const view::Policy& policy,
+                      const view::AccessMap& access, const xml::Document& doc,
+                      const std::vector<ResolvedEdit>& script) {
+  const xml::NameTable& names = *doc.names();
+  for (const ResolvedEdit& e : script) {
+    if (e.kind != OpKind::kInsert && !access.SubtreeHidden(e.target)) {
+      return false;
+    }
+    if (e.kind == OpKind::kDelete) continue;
+    // The grafted fragment must be entirely hidden from this view: with a
+    // qualifier-free policy that reduces to "the graft edge or an
+    // inherited Deny hides every fragment node". Walk the fragment
+    // simulating edge annotations from the graft parent's status.
+    const xml::Node* graft_parent =
+        e.kind == OpKind::kInsert ? e.target : e.target->parent;
+    if (graft_parent == nullptr) return false;  // replacing the root
+    const xml::NameTable& fnames = *e.fragment->names();
+    struct Item {
+      const std::string* parent_name;
+      const xml::Node* node;
+      bool visible;
+    };
+    std::vector<Item> stack = {{&names.NameOf(graft_parent->label),
+                                e.fragment->root(),
+                                access.visible(graft_parent->node_id)}};
+    while (!stack.empty()) {
+      Item it = stack.back();
+      stack.pop_back();
+      const std::string& child_name = fnames.NameOf(it.node->label);
+      const view::Annotation* ann = policy.Find(*it.parent_name, child_name);
+      bool child_visible = it.visible;
+      if (ann != nullptr) child_visible = ann->kind == view::AnnKind::kAllow;
+      if (child_visible) return false;
+      for (const xml::Node* c = it.node->first_child; c != nullptr;
+           c = c->next_sibling) {
+        if (c->is_element()) stack.push_back({&child_name, c, child_visible});
+      }
+    }
+  }
+  return true;
 }
 
 }  // namespace smoqe::update

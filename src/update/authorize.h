@@ -32,15 +32,35 @@
 
 namespace smoqe::update {
 
+/// The access map of `script`'s effect region under `policy`: each
+/// target's root path, plus the subtree a delete/replace removes. It
+/// classifies every node AuthorizeScript and the view-cache retention
+/// test read, and nothing else.
+view::AccessMap EffectRegionAccess(const view::Policy& policy,
+                                   const xml::Document& doc,
+                                   const std::vector<ResolvedEdit>& script);
+
 /// Checks every edit of `script` (targets resolved to document nodes)
-/// against the policy's node-level accessibility. `access` must be
-/// AccessMap::Compute(policy, doc) at the document's current epoch.
+/// against the policy's node-level accessibility. `access` must classify
+/// the script's effect region of `doc` under `policy` at the document's
+/// current epoch: EffectRegionAccess, or the whole-document
+/// AccessMap::Compute — both give the same verdict and explain string.
 /// OK = accepted; PermissionDenied = rejected whole, with the explain
 /// string; other codes = malformed script.
 Status AuthorizeScript(const view::Policy& policy,
                        const view::AccessMap& access,
                        const xml::Document& doc,
                        const std::vector<ResolvedEdit>& script);
+
+/// The edit-irrelevance test of the view-cache retention rule
+/// (docs/DESIGN.md §6.5): true iff applying `script` to `doc` cannot
+/// change the view's materialization — every removed subtree is hidden,
+/// and every grafted fragment lands hidden (the graft parent's status,
+/// then edge annotations inherited down the fragment). Meaningful only
+/// for a qualifier-free `policy`; `access` as for AuthorizeScript.
+bool ScriptHiddenFrom(const view::Policy& policy,
+                      const view::AccessMap& access, const xml::Document& doc,
+                      const std::vector<ResolvedEdit>& script);
 
 }  // namespace smoqe::update
 

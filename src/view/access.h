@@ -5,7 +5,8 @@
 ///
 /// Where DeriveView asks "which *types* does a user group see", AccessMap
 /// asks "which *nodes* of this document does it see, and why". The update
-/// subsystem uses it for both of its decisions (docs/DESIGN.md §6):
+/// subsystem uses it, classified over an edit's effect region only
+/// (ComputeRegion), for both of its decisions (docs/DESIGN.md §6):
 ///
 ///  * authorization — an update posed through a view is rejected whole if
 ///    its effect region touches a hidden or condition-protected node, and
@@ -19,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/view/annotation.h"
@@ -41,15 +43,28 @@ class AccessMap {
   /// evaluated with the reference evaluator, so Compute is as expensive
   /// as the qualifiers it runs; qualifier-free policies classify in one
   /// cheap tree walk.
+  /// The whole-document map is the reference the region maps are tested
+  /// against; production code classifies regions only.
   static AccessMap Compute(const Policy& policy, const xml::Document& doc);
 
+  /// Classifies only an edit's effect region: the root path of every node
+  /// in `anchors` and of every node in `subtrees`, plus each `subtrees`
+  /// node's whole subtree. Same rules and explain strings as Compute on
+  /// every classified node, at O(depth) per anchor plus the subtree
+  /// sizes. Nodes outside the region read as hidden and unconditional
+  /// (writes there are denied; SubtreeHidden answers false).
+  static AccessMap ComputeRegion(const Policy& policy,
+                                 const xml::Document& doc,
+                                 const std::vector<const xml::Node*>& anchors,
+                                 const std::vector<const xml::Node*>& subtrees);
+
   /// Whether the node is part of the view's virtual document.
-  bool visible(int32_t node_id) const { return nodes_[node_id].visible; }
+  bool visible(int32_t node_id) const { return At(node_id).visible; }
 
   /// Whether the node's exposure depends on a conditional annotation —
   /// its own edge or any edge it inherited through.
   bool condition_protected(int32_t node_id) const {
-    return nodes_[node_id].cond_edge >= 0;
+    return At(node_id).cond_edge >= 0;
   }
 
   /// Renders the annotation that decided the node's visibility, e.g.
@@ -72,10 +87,17 @@ class AccessMap {
     int32_t vis_edge = -1;   ///< edges_ index deciding visibility, -1 = default
     int32_t cond_edge = -1;  ///< nearest enclosing conditional edge, -1 = none
   };
+  class Classifier;
+
+  const NodeState& At(int32_t node_id) const;
+  bool Classified(int32_t node_id) const;
 
   /// One rendered annotated edge ("parent/child : ann").
   std::vector<std::string> edges_;
   std::vector<NodeState> nodes_;  // by node id; retired ids keep defaults
+  /// Region maps: the classified nodes only (`nodes_` stays empty).
+  std::unordered_map<int32_t, NodeState> region_;
+  bool is_region_ = false;
 };
 
 }  // namespace smoqe::view

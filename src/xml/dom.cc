@@ -76,7 +76,7 @@ Node* Document::ImportSubtree(const Node* src, const Document& src_doc) {
 Document Document::Clone() const {
   Document out;
   out.names_ = names_;
-  out.arena_ = std::make_unique<Arena>();
+  out.arena_ = std::make_unique<Arena>(/*map_large_blocks=*/true);
   out.num_elements_ = num_elements_;
   out.epoch_ = epoch_;
   out.nodes_.assign(nodes_.size(), nullptr);

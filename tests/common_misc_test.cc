@@ -55,6 +55,26 @@ TEST(ArenaTest, LargeAllocationsGrowBlocks) {
   EXPECT_GE(arena.bytes_used(), static_cast<size_t>(1 << 20));
 }
 
+TEST(ArenaTest, MappedBlocksHoldDataAcrossGrowth) {
+  // Both block sources: small blocks from malloc, then mapped blocks once
+  // the doubling passes kMapBytes; every value survives, and the budget
+  // is charged for mapped blocks like any other.
+  for (bool mapped : {false, true}) {
+    MemoryBudget budget;
+    Arena arena(mapped);
+    arena.set_budget(&budget);
+    std::vector<int64_t*> ptrs;
+    const int64_t n = 4 * static_cast<int64_t>(Arena::kMapBytes) / 8;
+    for (int64_t i = 0; i < n; ++i) ptrs.push_back(arena.New<int64_t>(i));
+    for (int64_t i = 0; i < n; ++i) ASSERT_EQ(*ptrs[i], i);
+    char* big = static_cast<char*>(arena.Allocate(3 * Arena::kMapBytes, 1));
+    std::memset(big, 'x', 3 * Arena::kMapBytes);
+    EXPECT_EQ(big[3 * Arena::kMapBytes - 1], 'x');
+    EXPECT_GE(arena.bytes_reserved(), 7 * Arena::kMapBytes);
+    EXPECT_EQ(budget.used(), arena.bytes_reserved());
+  }
+}
+
 TEST(RngTest, DeterministicPerSeed) {
   Rng a(42), b(42), c(43);
   bool all_equal = true;

@@ -161,6 +161,50 @@ TEST(TelemetryFacade, QueryTraceHasPipelineSpans) {
   }
 }
 
+std::set<std::string> UpdateSpanNames(Smoqe* engine, const char* stmt,
+                                      const UpdateOptions& opts,
+                                      uint64_t trace_id, bool want_ok) {
+  RequestOptions req;
+  req.trace_id = trace_id;
+  auto r = engine->Update("ward", stmt, opts, req);
+  EXPECT_EQ(r.ok(), want_ok) << r.status().ToString();
+  auto trace = engine->telemetry()->traces().Find(trace_id);
+  EXPECT_NE(trace, nullptr);
+  std::set<std::string> names;
+  if (trace == nullptr) return names;
+  for (const tel::SpanRecord& s : trace->spans()) names.insert(s.name);
+  return names;
+}
+
+TEST(TelemetryFacade, UpdateTraceClonesOnlyOnceAccepted) {
+  Smoqe engine;
+  SetupEngine(&engine);
+  ASSERT_TRUE(engine.BuildIndex("ward").ok());
+  UpdateOptions nurse;
+  nurse.view = "nurses";
+  nurse.dtd_name = "hospital";
+  // Denied: deleting a patient would remove its hidden pname. Resolution
+  // and authorization ran; nothing was copied.
+  const std::set<std::string> denied = UpdateSpanNames(
+      &engine, "delete hospital/patient", nurse, 0x5eed01, false);
+  for (const char* stage : {"parse", "cache_lookup", "resolve", "authorize"}) {
+    EXPECT_EQ(denied.count(stage), 1u) << "missing span " << stage;
+  }
+  for (const char* stage : {"clone", "tax_copy", "apply", "publish"}) {
+    EXPECT_EQ(denied.count(stage), 0u) << "unexpected span " << stage;
+  }
+  // Accepted: every stage, the copies included.
+  const std::set<std::string> accepted = UpdateSpanNames(
+      &engine,
+      "replace //treatment[medication = 'headache'] with "
+      "<treatment><medication>x</medication></treatment>",
+      nurse, 0x5eed02, true);
+  for (const char* stage : {"parse", "cache_lookup", "resolve", "authorize",
+                            "clone", "tax_copy", "apply", "publish"}) {
+    EXPECT_EQ(accepted.count(stage), 1u) << "missing span " << stage;
+  }
+}
+
 TEST(TelemetryFacade, BatchTraceNestsItemsUnderEvaluate) {
   EngineOptions options;
   options.max_threads = 4;

@@ -268,5 +268,71 @@ TEST(UpdateApply, MaintainsTaxIncrementally) {
   EXPECT_TRUE(set->Test(static_cast<size_t>(names->Lookup("test"))));
 }
 
+TEST(UpdateApply, ValidatesReadOnlyDocumentsAndAppliesToCopies) {
+  xml::Dtd dtd = MustDtd(testutil::kHospitalDtd, "hospital");
+  xml::Document doc = MustDoc(testutil::kHospitalDoc);
+  const xml::Document& frozen = doc;
+  ApplierOptions opts;
+  opts.dtd = &dtd;
+  const xml::Node* carol = Find(&doc, "hospital/patient[pname = 'Carol']");
+  const xml::Node* pname =
+      Find(&doc, "hospital/patient[pname = 'Carol']/pname");
+  // A validate-only applier over a const document judges scripts (pname
+  // is required, so deleting it is invalid) and refuses to run them.
+  UpdateApplier check(&frozen, opts);
+  EXPECT_TRUE(check.Validate({ResolvedEdit{OpKind::kDelete, carol, nullptr}})
+                  .ok());
+  EXPECT_EQ(check.Validate({ResolvedEdit{OpKind::kDelete, pname, nullptr}})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(check.Run({ResolvedEdit{OpKind::kDelete, carol, nullptr}})
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(doc.epoch(), 0u);
+
+  // A script must address the document it is applied to: a node of the
+  // original is refused by an applier over its clone; the same ids
+  // looked up in the clone apply there and leave the original intact.
+  xml::Document clone = doc.Clone();
+  UpdateApplier on_clone(&clone, opts);
+  EXPECT_EQ(on_clone.Run({ResolvedEdit{OpKind::kDelete, carol, nullptr}})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  auto stats = on_clone.Run(
+      {ResolvedEdit{OpKind::kDelete, clone.node(carol->node_id), nullptr}});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(clone.node(carol->node_id), nullptr);
+  EXPECT_EQ(doc.node(carol->node_id), carol);
+  EXPECT_EQ(doc.epoch(), 0u);
+}
+
+TEST(UpdateApply, InvalidParentIsReportedInIdOrder) {
+  // Two parents end up invalid: Carol's visit loses its required date and
+  // Alice (the smaller id) her required pname. The report names Alice,
+  // on the document and on its clone alike, whatever their heap layout.
+  xml::Dtd dtd = MustDtd(testutil::kHospitalDtd, "hospital");
+  xml::Document doc = MustDoc(testutil::kHospitalDoc);
+  xml::Document clone = doc.Clone();
+  ApplierOptions opts;
+  opts.dtd = &dtd;
+  for (xml::Document* d : {&doc, &clone}) {
+    const xml::Node* date =
+        Find(d, "hospital/patient[pname = 'Carol']/visit/date");
+    const xml::Node* pname =
+        Find(d, "hospital/patient[pname = 'Alice']/pname");
+    ASSERT_LT(pname->parent->node_id, date->parent->node_id);
+    Status st = UpdateApplier(d, opts).Validate(
+        {ResolvedEdit{OpKind::kDelete, date, nullptr},
+         ResolvedEdit{OpKind::kDelete, pname, nullptr}});
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(st.message().rfind("post-update content of element 'patient'",
+                                 0),
+              0u)
+        << st.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace smoqe::update

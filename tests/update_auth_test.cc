@@ -205,6 +205,36 @@ TEST_F(UpdateAuthTest, SpecDefinedViewsCannotUpdate) {
   auto r = engine_.Update("ward", "delete //treatment", opts);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(r.status().message(),
+            "view 'spec-view' was registered from a specification, not a "
+            "policy; updates require a policy-derived view");
+  // The refusal comes before any evaluation: a target that names nothing
+  // in the view (and would otherwise be a successful no-op) is refused
+  // the same way.
+  auto none = engine_.Update("ward", "delete //nosuchlabel", opts);
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(UpdateAuthTest, ViewUpdateOnForeignDocumentIsInvalid) {
+  // A hospital view over an org document: the view does not apply, which
+  // is an error rather than an update that selects nothing.
+  ASSERT_TRUE(engine_
+                  .LoadDocument("org",
+                                "<company><division><dname>d</dname>"
+                                "</division></company>")
+                  .ok());
+  UpdateOptions opts;
+  opts.view = "research";
+  for (bool dry_run : {false, true}) {
+    opts.dry_run = dry_run;
+    auto r = engine_.Update("org", "delete //treatment", opts);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.status().message(),
+              "document root 'company' does not match view root 'hospital'");
+  }
+  EXPECT_EQ(*engine_.DocumentEpoch("org"), 0u);
 }
 
 TEST_F(UpdateAuthTest, EpochInvalidatesAndRetainsMaterializations) {
@@ -294,6 +324,48 @@ TEST_F(UpdateAuthTest, DryRunChangesNothing) {
   EXPECT_EQ(r->stats.targets, 1u);
   EXPECT_EQ(*engine_.DocumentXml("ward"), before);
   EXPECT_EQ(*engine_.DocumentEpoch("ward"), 0u);
+}
+
+TEST_F(UpdateAuthTest, DryRunVerdictMatchesRealRun) {
+  ASSERT_TRUE(engine_.BuildIndex("ward").ok());
+  UpdateOptions research;
+  research.view = "research";
+  UpdateOptions direct;
+  direct.dtd_name = "hospital";
+  struct Case {
+    const char* stmt;
+    const UpdateOptions* opts;
+  };
+  // Denied, invalid, no-op, then accepted through a view and directly.
+  const Case cases[] = {
+      {"delete hospital/patient", &research},
+      {"delete hospital/patient/pname", &direct},
+      {"delete //nosuchlabel", &research},
+      {"replace //treatment[medication = 'headache'] with "
+       "<treatment><test>mri</test></treatment>",
+       &research},
+      {"insert into hospital/patient[pname = 'Carol'] "
+       "<visit><treatment><medication>flu</medication></treatment>"
+       "<date>d9</date></visit>",
+       &direct},
+  };
+  for (const Case& c : cases) {
+    UpdateOptions dry = *c.opts;
+    dry.dry_run = true;
+    const std::string before = *engine_.DocumentXml("ward");
+    const uint64_t epoch = *engine_.DocumentEpoch("ward");
+    auto d = engine_.Update("ward", c.stmt, dry);
+    EXPECT_EQ(*engine_.DocumentXml("ward"), before) << c.stmt;
+    EXPECT_EQ(*engine_.DocumentEpoch("ward"), epoch) << c.stmt;
+    auto real = engine_.Update("ward", c.stmt, *c.opts);
+    ASSERT_EQ(d.status().ToString(), real.status().ToString()) << c.stmt;
+    if (real.ok()) {
+      EXPECT_EQ(d->stats.targets, real->stats.targets) << c.stmt;
+      EXPECT_EQ(d->stats.doc_epoch, epoch) << c.stmt;
+    }
+  }
+  // The two accepted updates applied; the dry runs added no epoch.
+  EXPECT_EQ(*engine_.DocumentEpoch("ward"), 2u);
 }
 
 }  // namespace
