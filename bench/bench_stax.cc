@@ -12,6 +12,7 @@
 #include "src/eval/hype_dom.h"
 #include "src/eval/hype_stax.h"
 #include "src/xml/parser.h"
+#include "src/xml/stax.h"
 
 namespace smoqe {
 namespace {
@@ -87,8 +88,10 @@ void RegisterAll() {
 }  // namespace
 
 // BENCH_stax.json: StAX-mode trajectory (ns/node, nodes/sec, peak active
-// pairs) with the hot-path optimizations on vs off. Extern: called from
-// main below.
+// pairs) with the hot-path optimizations on vs off, plus the tokenizer
+// rows: one StaxReader pass over the text with per-scan label interning
+// (`stax_tokenize`), and a DOM parse through the same reader
+// (`dom_parse`). Extern: called from main below.
 void WriteStaxTrajectory(const char* path) {
   bench::JsonReport report;
   for (size_t size : bench::TrajectorySizes()) {
@@ -123,6 +126,37 @@ void WriteStaxTrajectory(const char* path) {
       row.run_dedup_probes = stats.run_dedup_probes;
       report.Add(std::move(row));
     }
+    auto add_tokenizer_row = [&](const char* engine, const char* config,
+                                 double ns) {
+      bench::TrajectoryRow row;
+      row.engine = engine;
+      row.workload = "hospital";
+      row.query = "-";
+      row.config = config;
+      row.nodes = doc.num_nodes();
+      row.ns_per_node = ns / static_cast<double>(doc.num_nodes());
+      row.nodes_per_sec = static_cast<double>(doc.num_nodes()) * 1e9 / ns;
+      report.Add(std::move(row));
+    };
+    add_tokenizer_row("stax_tokenize", "reader+intern",
+                      bench::MeasureNsPerIter([&] {
+                        xml::StaxReader reader(text);
+                        xml::NameCache labels(Corpus::Get().names().get());
+                        while (true) {
+                          auto ev = reader.Next();
+                          Corpus::Check(ev.ok(), "tokenize");
+                          if (*ev == xml::StaxEvent::kEndDocument) break;
+                          if (*ev == xml::StaxEvent::kStartElement) {
+                            benchmark::DoNotOptimize(labels.Intern(reader.name()));
+                          }
+                        }
+                      }));
+    add_tokenizer_row("dom_parse", "tree", bench::MeasureNsPerIter([&] {
+                        xml::ParseOptions po;
+                        po.names = Corpus::Get().names();
+                        auto parsed = xml::ParseDocument(text, po);
+                        Corpus::Check(parsed.ok(), "parse");
+                      }));
   }
   if (!report.WriteFile(path)) {
     std::fprintf(stderr, "failed to write %s\n", path);

@@ -8,7 +8,7 @@ FaultInjector& FaultInjector::Instance() {
   return injector;
 }
 
-FaultInjector::Site* FaultInjector::Find(const std::string& site) const {
+FaultInjector::Site* FaultInjector::Find(std::string_view site) const {
   const int n = num_sites_.load(std::memory_order_acquire);
   for (int i = 0; i < n; ++i) {
     if (sites_[i].name == site) return &sites_[i];
@@ -26,7 +26,8 @@ void FaultInjector::Arm(const std::string& site, uint64_t k) {
     num_sites_.store(n + 1, std::memory_order_release);
   }
   s->hits.store(0, std::memory_order_relaxed);
-  s->fire_at.store(k, std::memory_order_relaxed);
+  const uint64_t was = s->fire_at.exchange(k, std::memory_order_relaxed);
+  armed_sites_.fetch_add((k != 0) - (was != 0), std::memory_order_relaxed);
 }
 
 void FaultInjector::ArmSeeded(const std::string& site, uint64_t seed,
@@ -46,16 +47,17 @@ void FaultInjector::Reset() {
     sites_[i].hits.store(0, std::memory_order_relaxed);
     sites_[i].fire_at.store(0, std::memory_order_relaxed);
   }
+  armed_sites_.store(0, std::memory_order_relaxed);
 }
 
-bool FaultInjector::At(const std::string& site) {
+bool FaultInjector::At(std::string_view site) {
   Site* s = Find(site);
   if (s == nullptr) return false;
   const uint64_t hit = s->hits.fetch_add(1, std::memory_order_relaxed) + 1;
   return hit == s->fire_at.load(std::memory_order_relaxed);
 }
 
-uint64_t FaultInjector::Hits(const std::string& site) const {
+uint64_t FaultInjector::Hits(std::string_view site) const {
   const Site* s = Find(site);
   return s == nullptr ? 0 : s->hits.load(std::memory_order_relaxed);
 }

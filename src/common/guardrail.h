@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "src/common/status.h"
 
@@ -23,7 +24,9 @@ namespace fault {
 /// Process-wide deterministic fault injector. Tests arm a named site
 /// ("stax.read", "update.apply", …) to fire on its k-th hit; the k-th
 /// call of `At(site)` then returns true exactly once. Sites are string
-/// literals compared by content, so callers need no registration.
+/// literals compared by content, so callers need no registration. Hits
+/// are counted while at least one site is armed; while none is, a check
+/// is one relaxed atomic load (the tokenizer checks once per event).
 ///
 /// Thread-safe: hit counters are atomic, and Arm/Reset are test-side
 /// setup calls (not raced against evaluation in practice, but safe).
@@ -43,15 +46,20 @@ class FaultInjector {
   void Reset();
 
   /// Counts a hit at `site`; true iff this is the armed k-th hit.
-  bool At(const std::string& site);
+  bool At(std::string_view site);
 
   /// Total hits recorded at `site` since the last Reset/Arm.
-  uint64_t Hits(const std::string& site) const;
+  uint64_t Hits(std::string_view site) const;
+
+  /// True iff some site is armed — the fast-path gate of fault::At.
+  static bool AnyArmed() {
+    return armed_sites_.load(std::memory_order_relaxed) != 0;
+  }
 
  private:
   FaultInjector() = default;
   struct Site;
-  Site* Find(const std::string& site) const;
+  Site* Find(std::string_view site) const;
 
   static constexpr int kMaxSites = 16;
   struct Site {
@@ -61,13 +69,18 @@ class FaultInjector {
   };
   mutable std::atomic<int> num_sites_{0};
   mutable Site sites_[kMaxSites];
+  /// Sites whose fire_at is non-zero.
+  static inline std::atomic<int> armed_sites_{0};
 };
 
 #ifdef SMOQE_FAULT_INJECTION
 /// True iff the named site is armed and this is its k-th hit. In
 /// production builds (-DSMOQE_FAULT_INJECTION=OFF) this is a constant
 /// false the compiler deletes along with the surrounding branch.
-inline bool At(const char* site) { return FaultInjector::Instance().At(site); }
+/// While no site is armed this is one relaxed load and builds nothing.
+inline bool At(const char* site) {
+  return FaultInjector::AnyArmed() && FaultInjector::Instance().At(site);
+}
 #else
 inline constexpr bool At(const char*) { return false; }
 #endif

@@ -48,28 +48,38 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 std::string XmlEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
+  AppendXmlEscaped(s, &out);
+  return out;
+}
+
+void AppendXmlEscaped(std::string_view s, std::string* out) {
+  size_t plain = 0;  // start of the run of bytes that need no escape
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char* entity;
+    switch (s[i]) {
       case '&':
-        out += "&amp;";
+        entity = "&amp;";
         break;
       case '<':
-        out += "&lt;";
+        entity = "&lt;";
         break;
       case '>':
-        out += "&gt;";
+        entity = "&gt;";
         break;
       case '"':
-        out += "&quot;";
+        entity = "&quot;";
         break;
       case '\'':
-        out += "&apos;";
+        entity = "&apos;";
         break;
       default:
-        out += c;
+        continue;
     }
+    out->append(s.data() + plain, i - plain);
+    *out += entity;
+    plain = i + 1;
   }
-  return out;
+  out->append(s.data() + plain, s.size() - plain);
 }
 
 uint64_t Fnv1a64(std::string_view s) {

@@ -23,6 +23,8 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Escapes the five XML special characters (& < > " ') for text/attr output.
 std::string XmlEscape(std::string_view s);
+/// XmlEscape appending to `out` — no temporary string.
+void AppendXmlEscaped(std::string_view s, std::string* out);
 
 /// 64-bit FNV-1a hash. Stable across runs and platforms (used for plan
 /// fingerprints that end up in cache keys, so std::hash's

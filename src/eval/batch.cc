@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <utility>
@@ -16,39 +17,22 @@ namespace smoqe::eval {
 
 namespace {
 
-class StaxAttrs : public AttrProvider {
- public:
-  StaxAttrs(const std::vector<xml::StaxAttr>& attrs,
-            const xml::NameTable& names)
-      : attrs_(attrs), names_(names) {}
-
-  const char* Find(xml::NameId name) const override {
-    const std::string& want = names_.NameOf(name);
-    for (const xml::StaxAttr& a : attrs_) {
-      if (a.name == want) return a.value.c_str();
-    }
-    return nullptr;
-  }
-
- private:
-  const std::vector<xml::StaxAttr>& attrs_;
-  const xml::NameTable& names_;
-};
-
-/// Attribute view over a slice of a chunk's decoded attributes (the
-/// parallel driver's analogue of StaxAttrs).
+/// Attribute view over one start element's attributes — the reader's
+/// current attrs() (Run) or a slice of a chunk's (RunParallel). Names
+/// match by view compare against the interned name.
 class SliceAttrs : public AttrProvider {
  public:
   SliceAttrs(const xml::StaxAttr* begin, const xml::StaxAttr* end,
              const xml::NameTable& names)
       : begin_(begin), end_(end), names_(names) {}
 
-  const char* Find(xml::NameId name) const override {
-    const std::string& want = names_.NameOf(name);
+  std::optional<std::string_view> Find(xml::NameId name) const override {
+    if (begin_ == end_) return std::nullopt;
+    const std::string_view want = names_.NameOf(name);
     for (const xml::StaxAttr* a = begin_; a != end_; ++a) {
-      if (a->name == want) return a->value.c_str();
+      if (a->name == want) return a->value;
     }
-    return nullptr;
+    return std::nullopt;
   }
 
  private:
@@ -76,7 +60,7 @@ struct Capture {
 class CaptureStream {
  public:
   /// `staged` says some plan put this element in its Cans at Enter.
-  void StartElement(const std::string& name,
+  void StartElement(std::string_view name,
                     const xml::StaxAttr* attrs_begin,
                     const xml::StaxAttr* attrs_end, int depth,
                     int32_t node_id, bool staged) {
@@ -92,7 +76,7 @@ class CaptureStream {
       open_tag_ += ' ';
       open_tag_ += a->name;
       open_tag_ += "=\"";
-      open_tag_ += XmlEscape(a->value);
+      AppendXmlEscaped(a->value, &open_tag_);
       open_tag_ += '"';
     }
     for (Capture& c : captures_) c.buffer += open_tag_;
@@ -113,12 +97,13 @@ class CaptureStream {
       for (Capture& c : captures_) c.buffer += '>';
       tag_open_ = false;
     }
-    std::string escaped = XmlEscape(raw);
-    for (Capture& c : captures_) c.buffer += escaped;
-    appended_ += escaped.size() * captures_.size();
+    escaped_.clear();
+    AppendXmlEscaped(raw, &escaped_);
+    for (Capture& c : captures_) c.buffer += escaped_;
+    appended_ += escaped_.size() * captures_.size();
   }
 
-  void EndElement(const std::string& name, int depth) {
+  void EndElement(std::string_view name, int depth) {
     if (tag_open_) {
       // The closing element is empty: finish it as a self-closing tag.
       for (Capture& c : captures_) c.buffer += "/>";
@@ -154,6 +139,7 @@ class CaptureStream {
   uint64_t appended_ = 0;
   bool tag_open_ = false;  // captures have an unclosed start tag pending
   std::string open_tag_;   // scratch; reused across start events
+  std::string escaped_;    // scratch; reused across text events
 };
 
 /// Per-engine evaluation state — one per distinct plan of the batch: the
@@ -193,21 +179,32 @@ struct TokEvent {
   int32_t node_id = -1;              ///< start elements
   uint32_t attr_begin = 0;           ///< start elements: [begin, end) into
   uint32_t attr_end = 0;             ///<   TokChunk::attrs
-  uint32_t str = 0;  ///< start/end: element name; text: raw text
+  std::string_view str;  ///< start/end: element name; text: decoded text
 };
 
 /// A chunk of decoded, interned events — the unit of fork/join work the
-/// parallel driver hands to the engines. Buffers are reused across
-/// refills.
+/// parallel scan hands to the engines. Events and attributes view the
+/// document text, which outlives the batch; only text the reader had to
+/// decode lives in `decoded`, because the reader reuses its scratch on
+/// the next `Next()` while workers still read this chunk. Buffers are
+/// reused across refills.
 struct TokChunk {
   std::vector<TokEvent> events;
   std::vector<xml::StaxAttr> attrs;
-  std::vector<std::string> strings;
+  /// Copies of decoded strings; a deque, so views into earlier copies
+  /// stay valid as it grows.
+  std::deque<std::string> decoded;
+
+  /// `v` (a string of the reader's current event) as a view that lives
+  /// as long as this chunk's contents.
+  std::string_view Keep(const xml::StaxReader& reader, std::string_view v) {
+    return reader.Borrowed(v) ? v : decoded.emplace_back(v);
+  }
 
   void Clear() {
     events.clear();
     attrs.clear();
-    strings.clear();
+    decoded.clear();
   }
 };
 
@@ -215,7 +212,7 @@ struct TokChunk {
 /// labels are interned here, on the driver thread — workers only ever
 /// read the name table. Returns true once kEndDocument was consumed, or
 /// the guard's status once `ticker` finds it tripped.
-Result<bool> FillChunk(xml::StaxReader& reader, xml::NameTable* names,
+Result<bool> FillChunk(xml::StaxReader& reader, xml::NameCache& labels,
                        int32_t* next_node_id, size_t max_events,
                        GuardTicker* ticker, TokChunk* out) {
   out->Clear();
@@ -231,13 +228,14 @@ Result<bool> FillChunk(xml::StaxReader& reader, xml::NameTable* names,
         TokEvent e;
         e.kind = ev;
         e.depth = reader.depth();
-        e.label = names->Intern(reader.name());
+        e.label = labels.Intern(reader.name());
         e.node_id = (*next_node_id)++;
         e.attr_begin = static_cast<uint32_t>(out->attrs.size());
-        for (const xml::StaxAttr& a : reader.attrs()) out->attrs.push_back(a);
+        for (const xml::StaxAttr& a : reader.attrs()) {
+          out->attrs.push_back({a.name, out->Keep(reader, a.value)});
+        }
         e.attr_end = static_cast<uint32_t>(out->attrs.size());
-        e.str = static_cast<uint32_t>(out->strings.size());
-        out->strings.push_back(reader.name());
+        e.str = reader.name();
         out->events.push_back(e);
         break;
       }
@@ -245,8 +243,7 @@ Result<bool> FillChunk(xml::StaxReader& reader, xml::NameTable* names,
         TokEvent e;
         e.kind = ev;
         e.depth = reader.depth();
-        e.str = static_cast<uint32_t>(out->strings.size());
-        out->strings.push_back(reader.name());
+        e.str = reader.name();
         out->events.push_back(e);
         break;
       }
@@ -254,8 +251,7 @@ Result<bool> FillChunk(xml::StaxReader& reader, xml::NameTable* names,
         TokEvent e;
         e.kind = ev;
         e.depth = reader.depth();
-        e.str = static_cast<uint32_t>(out->strings.size());
-        out->strings.push_back(reader.text());
+        e.str = out->Keep(reader, reader.text());
         out->events.push_back(e);
         break;
       }
@@ -299,10 +295,10 @@ Status AdvancePlanOverChunk(PlanState& ps, const TokChunk& chunk,
       case xml::StaxEvent::kCharacters: {
         if (ps.skip_depth >= 0) {
           if (ps.skip_needs_text && ev.depth == ps.skip_depth) {
-            ps.engine.Text(chunk.strings[ev.str]);
+            ps.engine.Text(ev.str);
           }
         } else {
-          ps.engine.Text(chunk.strings[ev.str]);
+          ps.engine.Text(ev.str);
         }
         break;
       }
@@ -404,6 +400,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
   xml::StaxOptions stax_options;
   stax_options.skip_whitespace_text = options_.skip_whitespace_text;
   xml::StaxReader reader(xml, stax_options);
+  xml::NameCache labels(names);
 
   std::vector<std::unique_ptr<PlanState>> states;
   states.reserve(engines_.size());
@@ -433,11 +430,13 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
         continue;
       case xml::StaxEvent::kStartElement: {
         const int32_t node_id = next_node_id++;
+        const xml::StaxAttr* attrs_begin = reader.attrs().data();
+        const xml::StaxAttr* attrs_end = attrs_begin + reader.attrs().size();
         bool stage_capture = false;
         if (live_plans > 0) {
           // Shared per-event work: one intern, one attribute view.
-          xml::NameId label = names->Intern(reader.name());
-          StaxAttrs attrs(reader.attrs(), *names);
+          xml::NameId label = labels.Intern(reader.name());
+          SliceAttrs attrs(attrs_begin, attrs_end, *names);
           for (auto& ps : states) {
             if (ps->skip_depth >= 0) {
               ps->engine.mutable_stats()->nodes_pruned += 1;
@@ -461,9 +460,8 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::Run(
             ps->engine.mutable_stats()->nodes_pruned += 1;
           }
         }
-        cap.StartElement(reader.name(), reader.attrs().data(),
-                         reader.attrs().data() + reader.attrs().size(), depth,
-                         node_id, stage_capture);
+        cap.StartElement(reader.name(), attrs_begin, attrs_end, depth, node_id,
+                         stage_capture);
         break;
       }
       case xml::StaxEvent::kCharacters: {
@@ -523,13 +521,14 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
   xml::StaxOptions stax_options;
   stax_options.skip_whitespace_text = options_.skip_whitespace_text;
   xml::StaxReader reader(xml, stax_options);
+  xml::NameCache labels(names);
 
   const size_t chunk_events = par.chunk_events == 0 ? 4096 : par.chunk_events;
   TokChunk cur, next;
   int32_t next_node_id = 0;
   GuardTicker tok_ticker(options_.guard);
   SMOQE_ASSIGN_OR_RETURN(
-      bool eof, FillChunk(reader, names, &next_node_id, chunk_events,
+      bool eof, FillChunk(reader, labels, &next_node_id, chunk_events,
                           &tok_ticker, &cur));
 
   CaptureStream cap;
@@ -567,7 +566,7 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
     // then claims engines too.
     Status tok_status = Status::OK();
     if (!eof) {
-      auto r = FillChunk(reader, names, &next_node_id, chunk_events,
+      auto r = FillChunk(reader, labels, &next_node_id, chunk_events,
                          &tok_ticker, &next);
       if (r.ok()) {
         eof = *r;
@@ -596,16 +595,16 @@ Result<std::vector<StaxEvalResult>> BatchEvaluator::RunParallel(
       const TokEvent& ev = cur.events[i];
       switch (ev.kind) {
         case xml::StaxEvent::kStartElement:
-          cap.StartElement(cur.strings[ev.str],
+          cap.StartElement(ev.str,
                            cur.attrs.data() + ev.attr_begin,
                            cur.attrs.data() + ev.attr_end, ev.depth,
                            ev.node_id, staged[i] != 0);
           break;
         case xml::StaxEvent::kCharacters:
-          cap.Text(cur.strings[ev.str]);
+          cap.Text(ev.str);
           break;
         case xml::StaxEvent::kEndElement:
-          cap.EndElement(cur.strings[ev.str], ev.depth);
+          cap.EndElement(ev.str, ev.depth);
           break;
         case xml::StaxEvent::kStartDocument:
         case xml::StaxEvent::kEndDocument:

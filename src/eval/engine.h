@@ -9,6 +9,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,9 +28,9 @@ namespace smoqe::eval {
 class AttrProvider {
  public:
   virtual ~AttrProvider() = default;
-  /// Value of the attribute or nullptr. `name` is an interned id of the
-  /// engine's shared name table.
-  virtual const char* Find(xml::NameId name) const = 0;
+  /// Value of the attribute, or nullopt if the element has none by that
+  /// name. `name` is an interned id of the engine's shared name table.
+  virtual std::optional<std::string_view> Find(xml::NameId name) const = 0;
 
   /// A provider with no attributes.
   static const AttrProvider& None();

@@ -9,8 +9,10 @@ namespace {
 class DomAttrs : public AttrProvider {
  public:
   explicit DomAttrs(const xml::Node* node) : node_(node) {}
-  const char* Find(xml::NameId name) const override {
-    return node_->FindAttr(name);
+  std::optional<std::string_view> Find(xml::NameId name) const override {
+    const char* v = node_->FindAttr(name);
+    if (v == nullptr) return std::nullopt;
+    return std::string_view(v);
   }
 
  private:

@@ -58,7 +58,13 @@ class AccessMap {
                                  const std::vector<const xml::Node*>& anchors,
                                  const std::vector<const xml::Node*>& subtrees);
 
-  /// Whether the node is part of the view's virtual document.
+  /// The node's annotation-level status under the rules above. Every node
+  /// of the view's virtual document V(T) is visible, but not conversely:
+  /// a node exposed by its own Y or [q] edge is visible even when a
+  /// conditional ancestor hides the only path to it, and then V(T) omits
+  /// it (e.g. under the autism policy, a `treatment` with a `medication`
+  /// below a patient whose `hospital/patient` qualifier fails).
+  /// tests/view_access_test.cc pins both directions.
   bool visible(int32_t node_id) const { return At(node_id).visible; }
 
   /// Whether the node's exposure depends on a conditional annotation —

@@ -233,6 +233,7 @@ void Document::RefreshOrder() {
 
 DocumentBuilder::DocumentBuilder(std::shared_ptr<NameTable> names)
     : names_(names ? std::move(names) : NameTable::Create()),
+      name_cache_(names_.get()),
       arena_(std::make_unique<Arena>()) {}
 
 DocumentBuilder::~DocumentBuilder() = default;
@@ -254,7 +255,7 @@ void DocumentBuilder::StartElement(std::string_view name) {
   FlushAttrs();
   Node* n = arena_->New<Node>();
   n->kind = Node::Kind::kElement;
-  n->label = names_->Intern(name);
+  n->label = name_cache_.Intern(name);
   n->node_id = next_id_++;
   n->order = n->node_id;
   ++num_elements_;
@@ -280,7 +281,7 @@ void DocumentBuilder::AddAttribute(std::string_view name,
                                    std::string_view value) {
   if (pending_attr_owner_ == nullptr) return;  // misuse tolerated; dropped
   Attr a;
-  a.name = names_->Intern(name);
+  a.name = name_cache_.Intern(name);
   a.value = arena_->CopyString(value.data(), value.size());
   pending_attrs_.push_back(a);
 }

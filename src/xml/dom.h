@@ -217,6 +217,9 @@ class DocumentBuilder {
   void FlushAttrs();
 
   std::shared_ptr<NameTable> names_;
+  /// Element and attribute names go through this per-build memo, so a
+  /// parse takes the shared table's mutex once per distinct name.
+  NameCache name_cache_;
   std::unique_ptr<Arena> arena_;
   std::vector<Node*> nodes_;
   std::vector<Node*> stack_;     // open elements

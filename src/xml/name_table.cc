@@ -29,4 +29,26 @@ NameId NameTable::Lookup(std::string_view name) const {
   return it == index_.end() ? kNoName : it->second;
 }
 
+NameId NameCache::Insert(std::string_view name) {
+  const NameId id = table_->Intern(name);
+  // Keep the load factor at most 1/2 so probe runs stay short.
+  if (2 * (used_ + 1) > slots_.size()) {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (s.id != kNoName) Place(s);
+    }
+  }
+  Place(Slot{std::string_view(table_->NameOf(id)), id});
+  ++used_;
+  return id;
+}
+
+void NameCache::Place(const Slot& slot) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = Hash(slot.key) & mask;
+  while (slots_[i].id != kNoName) i = (i + 1) & mask;
+  slots_[i] = slot;
+}
+
 }  // namespace smoqe::xml

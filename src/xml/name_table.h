@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace smoqe::xml {
 
@@ -80,6 +81,58 @@ class NameTable {
   std::atomic<std::string*> chunks_[kMaxChunks] = {};
   std::unique_ptr<std::string[]> chunk_owner_[kMaxChunks];
   std::atomic<size_t> size_{0};
+};
+
+/// \brief Per-scan memo in front of a shared NameTable.
+///
+/// A tokenizer pass meets a handful of distinct names over and over, and
+/// NameTable::Intern takes the table's mutex on every call — the one lock
+/// that concurrent batch scans and document loads all share. A scan that
+/// interns through a NameCache takes that mutex once per *distinct* name;
+/// every other lookup is a probe of a private open-addressing table whose
+/// keys view the NameTable's own strings (stable for its lifetime), so
+/// the cache copies no name and allocates only when it grows.
+///
+/// Not thread-safe: one cache per scanning thread. The table must outlive
+/// the cache.
+class NameCache {
+ public:
+  explicit NameCache(NameTable* table)
+      : table_(table), slots_(kInitialSlots) {}
+
+  /// Same id as `table->Intern(name)`.
+  NameId Intern(std::string_view name) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Hash(name) & mask;; i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.id == kNoName) return Insert(name);
+      if (s.key == name) return s.id;
+    }
+  }
+
+ private:
+  static constexpr size_t kInitialSlots = 64;  // power of two
+
+  struct Slot {
+    std::string_view key;
+    NameId id = kNoName;
+  };
+
+  static size_t Hash(std::string_view name) {
+    uint64_t h = 1469598103934665603ull;  // FNV-1a
+    for (char c : name) {
+      h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    }
+    return static_cast<size_t>(h ^ (h >> 32));
+  }
+
+  NameId Insert(std::string_view name);
+  /// Stores `slot` in the first free slot of its probe run.
+  void Place(const Slot& slot);
+
+  NameTable* table_;
+  std::vector<Slot> slots_;
+  size_t used_ = 0;
 };
 
 }  // namespace smoqe::xml

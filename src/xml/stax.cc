@@ -1,63 +1,82 @@
 #include "src/xml/stax.h"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
+#include <cstdint>
 
 #include "src/common/guardrail.h"
-#include "src/common/strings.h"
 
 namespace smoqe::xml {
+
+namespace {
+
+// Byte classes, one table lookup per scanned byte. The sets are the C
+// locale's: isspace, and the names of common/strings.h IsNameStartChar /
+// IsNameChar (ASCII letters and '_'; plus digits, '-', '.', ':').
+constexpr uint8_t kSpace = 1;      // ' ' \t \n \v \f \r
+constexpr uint8_t kTextStop = 2;   // '<' '&' NUL: ends a plain text scan
+constexpr uint8_t kNameStart = 4;
+constexpr uint8_t kName = 8;
+
+constexpr std::array<uint8_t, 256> MakeClasses() {
+  std::array<uint8_t, 256> t{};
+  for (char c : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    t[static_cast<unsigned char>(c)] |= kSpace;
+  }
+  for (char c : {'<', '&', '\0'}) t[static_cast<unsigned char>(c)] |= kTextStop;
+  for (int c = 'a'; c <= 'z'; ++c) t[c] |= kNameStart | kName;
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] |= kNameStart | kName;
+  t['_'] |= kNameStart | kName;
+  for (int c = '0'; c <= '9'; ++c) t[c] |= kName;
+  for (char c : {'-', '.', ':'}) t[static_cast<unsigned char>(c)] |= kName;
+  return t;
+}
+
+constexpr std::array<uint8_t, 256> kClasses = MakeClasses();
+
+inline uint8_t ClassOf(char c) { return kClasses[static_cast<unsigned char>(c)]; }
+
+}  // namespace
 
 StaxReader::StaxReader(std::string_view input, StaxOptions options)
     : input_(input), options_(options) {}
 
 Status StaxReader::Error(std::string msg) const {
+  // Positions are derived, not tracked: 1-based line = newlines before the
+  // scan point + 1; column = bytes since the last newline + 1.
+  const std::string_view seen = input_.substr(0, pos_);
+  const size_t last_nl = seen.rfind('\n');
+  const size_t line = 1 + std::count(seen.begin(), seen.end(), '\n');
+  const size_t col =
+      last_nl == std::string_view::npos ? pos_ + 1 : pos_ - last_nl;
   msg += " at line ";
-  msg += std::to_string(line_);
+  msg += std::to_string(line);
   msg += ", column ";
-  msg += std::to_string(col_);
+  msg += std::to_string(col);
   return Status::ParseError(std::move(msg));
 }
 
-void StaxReader::Advance() {
-  if (pos_ >= input_.size()) return;
-  if (input_[pos_] == '\n') {
-    ++line_;
-    col_ = 1;
-  } else {
-    ++col_;
-  }
-  ++pos_;
-}
-
 void StaxReader::SkipWhitespace() {
-  while (pos_ < input_.size() &&
-         std::isspace(static_cast<unsigned char>(input_[pos_]))) {
-    Advance();
-  }
+  while (pos_ < input_.size() && (ClassOf(input_[pos_]) & kSpace)) ++pos_;
 }
 
-bool StaxReader::Consume(std::string_view lit) {
-  if (input_.substr(pos_, lit.size()) != lit) return false;
-  for (size_t i = 0; i < lit.size(); ++i) Advance();
-  return true;
-}
-
-Result<std::string> StaxReader::ReadName() {
-  if (pos_ >= input_.size() || !IsNameStartChar(input_[pos_])) {
+Result<std::string_view> StaxReader::ReadName() {
+  if (pos_ >= input_.size() || !(ClassOf(input_[pos_]) & kNameStart)) {
     return Error("expected a name");
   }
-  size_t start = pos_;
-  while (pos_ < input_.size() && IsNameChar(input_[pos_])) Advance();
-  return std::string(input_.substr(start, pos_ - start));
+  const size_t start = pos_;
+  ++pos_;
+  while (pos_ < input_.size() && (ClassOf(input_[pos_]) & kName)) ++pos_;
+  return input_.substr(start, pos_ - start);
 }
 
 Status StaxReader::DecodeEntity(std::string* out) {
-  // Caller consumed '&'.
-  size_t semi = input_.find(';', pos_);
-  if (semi == std::string_view::npos || semi - pos_ > 10) {
+  // Caller consumed '&'. A reference is at most 10 bytes before its ';'.
+  const size_t semi = input_.substr(pos_, 11).find(';');
+  if (semi == std::string_view::npos) {
     return Error("unterminated entity reference");
   }
-  std::string_view ent = input_.substr(pos_, semi - pos_);
+  std::string_view ent = input_.substr(pos_, semi);
   if (ent == "amp") {
     *out += '&';
   } else if (ent == "lt") {
@@ -119,51 +138,52 @@ Status StaxReader::DecodeEntity(std::string* out) {
   } else {
     return Error("unknown entity '&" + std::string(ent) + ";'");
   }
-  while (pos_ <= semi) Advance();
+  pos_ += semi + 1;
   return Status::OK();
 }
 
-Status StaxReader::ReadAttrValue(std::string* out) {
-  char quote = Peek();
+Result<bool> StaxReader::ReadAttrValue(std::string_view* out) {
+  const char quote = pos_ < input_.size() ? input_[pos_] : '\0';
   if (quote != '"' && quote != '\'') {
     return Error("expected quoted attribute value");
   }
-  Advance();
-  out->clear();
-  while (true) {
-    if (pos_ >= input_.size()) return Error("unterminated attribute value");
-    char c = input_[pos_];
+  ++pos_;
+  // Fast path: the value is a view of the input unless a reference needs
+  // decoding; then it is rebuilt in scratch_ from `seg` on.
+  bool decoded = false;
+  size_t seg = pos_;
+  while (pos_ < input_.size()) {
+    const char c = input_[pos_];
     if (c == quote) {
-      Advance();
-      return Status::OK();
+      if (decoded) {
+        scratch_.append(input_.data() + seg, pos_ - seg);
+      } else {
+        *out = input_.substr(seg, pos_ - seg);
+      }
+      ++pos_;
+      return decoded;
     }
     if (c == '<') return Error("'<' not allowed in attribute value");
     if (c == '\0') return Error("NUL byte in attribute value");
     if (c == '&') {
-      Advance();
-      SMOQE_RETURN_IF_ERROR(DecodeEntity(out));
-    } else {
-      *out += c;
-      Advance();
+      scratch_.append(input_.data() + seg, pos_ - seg);
+      decoded = true;
+      ++pos_;
+      SMOQE_RETURN_IF_ERROR(DecodeEntity(&scratch_));
+      seg = pos_;
+      continue;
     }
+    ++pos_;
   }
+  return Error("unterminated attribute value");
 }
 
-Status StaxReader::SkipComment() {
-  // Caller consumed "<!--".
-  size_t end = input_.find("-->", pos_);
-  if (end == std::string_view::npos) return Error("unterminated comment");
-  while (pos_ < end + 3) Advance();
-  return Status::OK();
-}
-
-Status StaxReader::SkipProcessingInstruction() {
-  // Caller consumed "<?".
-  size_t end = input_.find("?>", pos_);
+Status StaxReader::SkipPast(std::string_view terminator, const char* what) {
+  const size_t end = input_.find(terminator, pos_);
   if (end == std::string_view::npos) {
-    return Error("unterminated processing instruction");
+    return Error(std::string("unterminated ") + what);
   }
-  while (pos_ < end + 2) Advance();
+  pos_ = end + terminator.size();
   return Status::OK();
 }
 
@@ -175,76 +195,153 @@ Status StaxReader::ReadDoctype() {
   // skipping SYSTEM/PUBLIC external identifiers.
   while (true) {
     if (pos_ >= input_.size()) return Error("unterminated DOCTYPE");
-    char c = Peek();
+    const char c = input_[pos_];
     if (c == '[') {
-      Advance();
-      size_t start = pos_;
+      ++pos_;
+      const size_t start = pos_;
       int depth = 1;
-      while (pos_ < input_.size() && depth > 0) {
+      for (; pos_ < input_.size(); ++pos_) {
         if (input_[pos_] == '[') ++depth;
-        if (input_[pos_] == ']') --depth;
-        if (depth > 0) Advance();
+        if (input_[pos_] == ']' && --depth == 0) break;
       }
       if (depth != 0) return Error("unterminated DOCTYPE internal subset");
-      doctype_ = std::string(input_.substr(start, pos_ - start));
-      Advance();  // ']'
+      doctype_ = input_.substr(start, pos_ - start);
+      ++pos_;  // ']'
     } else if (c == '>') {
-      Advance();
+      ++pos_;
       return Status::OK();
     } else if (c == '"' || c == '\'') {
-      char quote = c;
-      Advance();
-      while (pos_ < input_.size() && Peek() != quote) Advance();
-      if (pos_ >= input_.size()) return Error("unterminated DOCTYPE literal");
-      Advance();
+      const size_t end = input_.find(c, pos_ + 1);
+      if (end == std::string_view::npos) {
+        pos_ = input_.size();
+        return Error("unterminated DOCTYPE literal");
+      }
+      pos_ = end + 1;
     } else {
-      Advance();
+      ++pos_;
     }
   }
 }
 
 Result<bool> StaxReader::ReadTextRun() {
-  text_.clear();
+  // A text run extends over character data, references, CDATA sections
+  // and comments up to the next tag. The common case — plain character
+  // data — is one table-driven scan and a view of the input. The run is
+  // rebuilt in scratch_ only once a reference, CDATA section or comment
+  // splits it; `seg` is the start of the raw bytes not yet appended.
+  const char* const in = input_.data();
+  const size_t n = input_.size();
   bool nonspace = false;
-  while (pos_ < input_.size()) {
-    char c = input_[pos_];
-    if (c == '<') {
-      if (input_.substr(pos_, 9) == "<![CDATA[") {
-        for (int i = 0; i < 9; ++i) Advance();
-        size_t end = input_.find("]]>", pos_);
+  bool decoded = false;
+  size_t seg = pos_;
+  size_t p = pos_;
+  auto append_segment = [&] {
+    if (!decoded) {
+      scratch_.clear();
+      decoded = true;
+    }
+    scratch_.append(in + seg, p - seg);
+  };
+  while (true) {
+    while (p < n) {
+      const uint8_t k = ClassOf(in[p]);
+      if (k & kTextStop) break;
+      nonspace |= !(k & kSpace);
+      ++p;
+    }
+    pos_ = p;
+    if (p >= n) break;
+    if (in[p] == '<') {
+      if (LookingAt("<![CDATA[")) {
+        append_segment();
+        pos_ = p + 9;
+        const size_t end = input_.find("]]>", pos_);
         if (end == std::string_view::npos) return Error("unterminated CDATA");
         for (size_t i = pos_; i < end; ++i) {
-          if (!std::isspace(static_cast<unsigned char>(input_[i]))) {
-            nonspace = true;
-          }
+          nonspace |= !(ClassOf(in[i]) & kSpace);
         }
-        text_.append(input_.substr(pos_, end - pos_));
-        while (pos_ < end + 3) Advance();
+        scratch_.append(in + pos_, end - pos_);
+        p = seg = end + 3;
         continue;
       }
-      if (input_.substr(pos_, 4) == "<!--") {
-        for (int i = 0; i < 4; ++i) Advance();
-        SMOQE_RETURN_IF_ERROR(SkipComment());
+      if (LookingAt("<!--")) {
+        append_segment();
+        pos_ = p + 4;
+        SMOQE_RETURN_IF_ERROR(SkipPast("-->", "comment"));
+        p = seg = pos_;
         continue;
       }
       break;  // a tag: end of text run
     }
-    if (c == '&') {
-      Advance();
-      SMOQE_RETURN_IF_ERROR(DecodeEntity(&text_));
+    if (in[p] == '&') {
+      append_segment();
+      ++pos_;
+      SMOQE_RETURN_IF_ERROR(DecodeEntity(&scratch_));
       nonspace = true;  // decoded entities count as content even if space
-    } else if (c == '\0') {
-      // Not an XML character, and it would silently truncate the text
-      // once stored as a C string in the document arena.
-      return Error("NUL byte in character data");
-    } else {
-      if (!std::isspace(static_cast<unsigned char>(c))) nonspace = true;
-      text_ += c;
-      Advance();
+      p = seg = pos_;
+      continue;
     }
+    // Not an XML character, and it would silently truncate the text once
+    // stored as a C string in the document arena.
+    return Error("NUL byte in character data");
+  }
+  if (decoded) {
+    append_segment();
+    text_ = scratch_;
+  } else {
+    text_ = input_.substr(seg, p - seg);
   }
   if (!nonspace && options_.skip_whitespace_text) return false;
   return !text_.empty();
+}
+
+Result<StaxEvent> StaxReader::ReadStartTag() {
+  ++pos_;  // '<'
+  if (open_.empty() && saw_root_) {
+    return Error("multiple root elements");
+  }
+  SMOQE_ASSIGN_OR_RETURN(name_, ReadName());
+  attrs_.clear();
+  scratch_.clear();
+  decoded_attrs_.clear();
+  while (true) {
+    SkipWhitespace();
+    const char d = pos_ < input_.size() ? input_[pos_] : '\0';
+    if (d == '>') {
+      ++pos_;
+      break;
+    }
+    if (d == '/') {
+      ++pos_;
+      if (!Consume(">")) return Error("malformed self-closing tag");
+      pending_end_ = true;
+      break;
+    }
+    if (d == '\0') return Error("unterminated start tag");
+    StaxAttr attr;
+    SMOQE_ASSIGN_OR_RETURN(attr.name, ReadName());
+    SkipWhitespace();
+    if (!Consume("=")) return Error("expected '=' in attribute");
+    SkipWhitespace();
+    const size_t offset = scratch_.size();
+    SMOQE_ASSIGN_OR_RETURN(bool decoded, ReadAttrValue(&attr.value));
+    for (const StaxAttr& existing : attrs_) {
+      if (existing.name == attr.name) {
+        return Error("duplicate attribute '" + std::string(attr.name) + "'");
+      }
+    }
+    if (decoded) {
+      decoded_attrs_.push_back(
+          Decoded{attrs_.size(), offset, scratch_.size() - offset});
+    }
+    attrs_.push_back(attr);
+  }
+  for (const Decoded& d : decoded_attrs_) {
+    attrs_[d.index].value = std::string_view(scratch_).substr(d.offset, d.size);
+  }
+  open_.push_back(name_);
+  saw_root_ = true;
+  return StaxEvent::kStartElement;
 }
 
 Result<StaxEvent> StaxReader::Next() {
@@ -260,17 +357,13 @@ Result<StaxEvent> StaxReader::Next() {
     pending_end_ = false;
     name_ = open_.back();
     open_.pop_back();
-    if (open_.empty()) {
-      // Root closed; only misc content may follow (verified below on the
-      // next call).
-    }
     return StaxEvent::kEndElement;
   }
 
   while (true) {
     if (pos_ >= input_.size()) {
       if (!open_.empty()) {
-        return Error("unexpected end of input: <" + open_.back() +
+        return Error("unexpected end of input: <" + std::string(open_.back()) +
                      "> is not closed");
       }
       if (!saw_root_) return Error("document has no root element");
@@ -278,18 +371,15 @@ Result<StaxEvent> StaxReader::Next() {
       return StaxEvent::kEndDocument;
     }
 
-    char c = Peek();
-    if (c != '<') {
+    if (input_[pos_] != '<') {
       if (open_.empty()) {
         // Text outside the root: only whitespace is allowed.
-        size_t start = pos_;
-        while (pos_ < input_.size() && Peek() != '<') {
-          if (!std::isspace(static_cast<unsigned char>(Peek()))) {
+        while (pos_ < input_.size() && input_[pos_] != '<') {
+          if (!(ClassOf(input_[pos_]) & kSpace)) {
             return Error("content outside the root element");
           }
-          Advance();
+          ++pos_;
         }
-        (void)start;
         continue;
       }
       SMOQE_ASSIGN_OR_RETURN(bool has_text, ReadTextRun());
@@ -298,82 +388,51 @@ Result<StaxEvent> StaxReader::Next() {
     }
 
     // '<' — dispatch on what follows.
-    if (Consume("<?xml")) {
-      size_t end = input_.find("?>", pos_);
-      if (end == std::string_view::npos) return Error("unterminated XML declaration");
-      while (pos_ < end + 2) Advance();
-      continue;
-    }
-    if (Consume("<?")) {
-      SMOQE_RETURN_IF_ERROR(SkipProcessingInstruction());
-      continue;
-    }
-    if (Consume("<!--")) {
-      SMOQE_RETURN_IF_ERROR(SkipComment());
-      continue;
-    }
-    if (input_.substr(pos_, 9) == "<![CDATA[") {
-      if (open_.empty()) return Error("CDATA outside the root element");
-      SMOQE_ASSIGN_OR_RETURN(bool has_text, ReadTextRun());
-      if (has_text) return StaxEvent::kCharacters;
-      continue;
-    }
-    if (Consume("<!DOCTYPE")) {
-      if (saw_root_) return Error("DOCTYPE after the root element");
-      SMOQE_RETURN_IF_ERROR(ReadDoctype());
-      continue;
-    }
-    if (Consume("</")) {
-      SMOQE_ASSIGN_OR_RETURN(std::string name, ReadName());
+    const char next = pos_ + 1 < input_.size() ? input_[pos_ + 1] : '\0';
+    if (next == '/') {
+      pos_ += 2;
+      SMOQE_ASSIGN_OR_RETURN(std::string_view name, ReadName());
       SkipWhitespace();
       if (!Consume(">")) return Error("malformed end tag");
-      if (open_.empty()) return Error("unmatched end tag </" + name + ">");
-      if (open_.back() != name) {
-        return Error("mismatched end tag: expected </" + open_.back() +
-                     ">, found </" + name + ">");
+      if (open_.empty()) {
+        return Error("unmatched end tag </" + std::string(name) + ">");
       }
-      name_ = std::move(name);
+      if (open_.back() != name) {
+        return Error("mismatched end tag: expected </" +
+                     std::string(open_.back()) + ">, found </" +
+                     std::string(name) + ">");
+      }
+      name_ = name;
       open_.pop_back();
       return StaxEvent::kEndElement;
     }
-    // Start tag.
-    Advance();  // '<'
-    if (open_.empty() && saw_root_) {
-      return Error("multiple root elements");
+    if (next == '?') {
+      if (Consume("<?xml")) {
+        SMOQE_RETURN_IF_ERROR(SkipPast("?>", "XML declaration"));
+      } else {
+        pos_ += 2;
+        SMOQE_RETURN_IF_ERROR(SkipPast("?>", "processing instruction"));
+      }
+      continue;
     }
-    SMOQE_ASSIGN_OR_RETURN(name_, ReadName());
-    attrs_.clear();
-    while (true) {
-      SkipWhitespace();
-      char d = Peek();
-      if (d == '>') {
-        Advance();
-        open_.push_back(name_);
-        saw_root_ = true;
-        return StaxEvent::kStartElement;
+    if (next == '!') {
+      if (Consume("<!--")) {
+        SMOQE_RETURN_IF_ERROR(SkipPast("-->", "comment"));
+        continue;
       }
-      if (d == '/') {
-        Advance();
-        if (!Consume(">")) return Error("malformed self-closing tag");
-        open_.push_back(name_);
-        saw_root_ = true;
-        pending_end_ = true;
-        return StaxEvent::kStartElement;
+      if (LookingAt("<![CDATA[")) {
+        if (open_.empty()) return Error("CDATA outside the root element");
+        SMOQE_ASSIGN_OR_RETURN(bool has_text, ReadTextRun());
+        if (has_text) return StaxEvent::kCharacters;
+        continue;
       }
-      if (d == '\0') return Error("unterminated start tag");
-      StaxAttr attr;
-      SMOQE_ASSIGN_OR_RETURN(attr.name, ReadName());
-      SkipWhitespace();
-      if (!Consume("=")) return Error("expected '=' in attribute");
-      SkipWhitespace();
-      SMOQE_RETURN_IF_ERROR(ReadAttrValue(&attr.value));
-      for (const StaxAttr& existing : attrs_) {
-        if (existing.name == attr.name) {
-          return Error("duplicate attribute '" + attr.name + "'");
-        }
+      if (Consume("<!DOCTYPE")) {
+        if (saw_root_) return Error("DOCTYPE after the root element");
+        SMOQE_RETURN_IF_ERROR(ReadDoctype());
+        continue;
       }
-      attrs_.push_back(std::move(attr));
     }
+    return ReadStartTag();
   }
 }
 

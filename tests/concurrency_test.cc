@@ -369,6 +369,65 @@ TEST(BatchParallelTest, RunParallelMatchesRunByteForByte) {
   }
 }
 
+// Text and attribute values that need decoding live in the reader's
+// scratch only until its next Next(); RunParallel must copy them
+// into the chunk its workers read while the reader fills the next chunk.
+TEST(BatchParallelTest, RunParallelKeepsDecodedStringsAcrossChunks) {
+  auto names = xml::NameTable::Create();
+  std::string text = "<hospital>";
+  for (int i = 0; i < 300; ++i) {
+    const std::string n = std::to_string(i);
+    text += "<patient id='p&amp;" + n + "'><pname>A&lt;" + n +
+            "&gt;</pname><visit><treatment><medication>" +
+            (i % 3 == 0 ? "au&#116;ism" : "fl<![CDATA[u]]>") +
+            "</medication></treatment><date>d<!-- c -->" + n +
+            "</date></visit></patient>";
+  }
+  text += "</hospital>";
+  const std::vector<std::string> queries = {
+      "//pname",
+      "//patient[visit/treatment/medication = 'autism']/pname",
+      "//patient[@id = 'p&7']/visit/date",
+      "//visit[date = 'd42']",
+  };
+  std::vector<std::unique_ptr<automata::Mfa>> mfas;
+  eval::BatchEvaluator batch;
+  for (const std::string& q : queries) {
+    auto parsed = rxpath::ParseQuery(q);
+    ASSERT_TRUE(parsed.ok()) << q;
+    auto mfa = automata::Mfa::Compile(**parsed, names);
+    ASSERT_TRUE(mfa.ok());
+    mfas.push_back(std::make_unique<automata::Mfa>(mfa.MoveValue()));
+    batch.AddPlan(mfas.back().get());
+  }
+  auto serial = batch.Run(text);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ((*serial)[0].answers.size(), 300u);
+  EXPECT_EQ((*serial)[0].answers[5].xml, "<pname>A&lt;5&gt;</pname>");
+  EXPECT_EQ((*serial)[1].answers.size(), 100u);
+  ASSERT_EQ((*serial)[2].answers.size(), 1u);
+  EXPECT_EQ((*serial)[2].answers[0].xml, "<date>d7</date>");
+  EXPECT_EQ((*serial)[3].answers.size(), 1u);
+
+  ThreadPool pool(4);
+  for (size_t chunk : {size_t{1}, size_t{3}, size_t{64}}) {
+    eval::BatchParallelOptions par;
+    par.pool = &pool;
+    par.chunk_events = chunk;
+    auto parallel = batch.RunParallel(text, par);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    for (size_t k = 0; k < serial->size(); ++k) {
+      const auto& s = (*serial)[k].answers;
+      const auto& p = (*parallel)[k].answers;
+      ASSERT_EQ(p.size(), s.size()) << "plan " << k << " chunk " << chunk;
+      for (size_t a = 0; a < s.size(); ++a) {
+        EXPECT_EQ(p[a].xml, s[a].xml)
+            << "plan " << k << " answer " << a << " chunk " << chunk;
+      }
+    }
+  }
+}
+
 TEST(BatchParallelTest, DuplicatePlansShareOneEngine) {
   // A batch runs one engine per distinct (MFA, EngineOptions) key, yet
   // every registered plan gets its own result — equal to what a batch of

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/core/smoqe.h"
+#include "src/xml/stax.h"
 #include "tests/test_util.h"
 
 namespace smoqe {
@@ -147,6 +148,29 @@ TEST(FaultInjectorTest, FiresOnExactlyTheKthHit) {
   EXPECT_FALSE(fault::At("never.armed"));
   inj.Reset();
   EXPECT_FALSE(fault::At("test.site")) << "Reset disarms";
+}
+
+TEST(FaultInjectorTest, UnarmedSitesCountNothingArmedTokenizerCountsEachNext) {
+  auto& inj = fault::FaultInjector::Instance();
+  inj.Reset();
+  EXPECT_FALSE(fault::FaultInjector::AnyArmed());
+  {
+    xml::StaxReader reader("<a><b/></a>");
+    while (*reader.Next() != xml::StaxEvent::kEndDocument) {
+    }
+  }
+  EXPECT_EQ(inj.Hits("stax.read"), 0u) << "no site armed: the fast path";
+  inj.Arm("stax.read", uint64_t{1} << 40);
+  EXPECT_TRUE(fault::FaultInjector::AnyArmed());
+  {
+    // StartDocument, <a>, <b>, </b>, </a>, EndDocument: six Next() calls.
+    xml::StaxReader reader("<a><b/></a>");
+    while (*reader.Next() != xml::StaxEvent::kEndDocument) {
+    }
+  }
+  EXPECT_EQ(inj.Hits("stax.read"), 6u);
+  inj.Reset();
+  EXPECT_FALSE(fault::FaultInjector::AnyArmed());
 }
 
 TEST(FaultInjectorTest, SeededArmIsDeterministic) {

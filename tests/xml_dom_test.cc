@@ -142,5 +142,28 @@ TEST(NameTableTest, ManyNamesSurviveRehash) {
   }
 }
 
+TEST(NameCacheTest, AgreesWithTheTableAcrossGrowth) {
+  NameTable t;
+  const NameId pre = t.Intern("preexisting");
+  NameCache cache(&t);
+  std::vector<NameId> ids;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 500; ++i) {
+      // Views of a temporary: the cache must not keep them.
+      const std::string name = "n" + std::to_string(i);
+      const NameId id = cache.Intern(name);
+      if (round == 0) {
+        ids.push_back(id);
+      } else {
+        EXPECT_EQ(id, ids[i]) << name;
+      }
+      EXPECT_EQ(t.Lookup(name), id) << name;
+    }
+  }
+  EXPECT_EQ(cache.Intern("preexisting"), pre);
+  EXPECT_EQ(cache.Intern(""), t.Intern(""));
+  EXPECT_EQ(t.size(), 502u);
+}
+
 }  // namespace
 }  // namespace smoqe::xml
