@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <set>
@@ -55,57 +56,52 @@ bool IsGuardTermination(const Status& s) {
          s.code() == StatusCode::kCancelled;
 }
 
-/// Flattens a finished call into the PROFILE model: the trace's span
-/// list becomes the stage tree (same indices, so parent links carry
-/// over verbatim), and the guard's tick tally rides along. `tr` may be
-/// null (slow-log capture of an unsampled call) — the profile then has
-/// no stages but still carries timing and identity.
-tel::Profile MakeProfile(const char* op, const std::string& doc,
-                         const std::string& view, std::string_view statement,
-                         uint64_t total_ns, const Guardrail* guard,
-                         const tel::Trace* tr) {
-  tel::Profile p;
-  p.op = op;
-  p.doc = doc;
-  p.view = view;
-  p.statement = std::string(statement);
-  p.total_ns = total_ns;
-  if (guard != nullptr) p.guard_ticks = guard->checks();
-  if (tr != nullptr) {
-    p.trace_id = tr->id();
-    for (const tel::SpanRecord& s : tr->spans()) {
-      tel::ProfileStage st;
-      st.name = s.name;
-      st.parent = s.parent;
-      st.ns = s.end_ns >= s.start_ns ? s.end_ns - s.start_ns : 0;
-      p.stages.push_back(std::move(st));
-    }
+/// The document a batch item targets: the call's for QueryBatch, the
+/// item's own for QueryBatchMulti.
+const std::string& ItemDoc(const BatchQueryItem&, const std::string& doc) {
+  return doc;
+}
+const std::string& ItemDoc(const DocBatchItem& item, const std::string&) {
+  return item.doc;
+}
+
+/// The preconditions a query's options place on the pinned snapshot:
+/// TAX needs DOM mode (the index addresses materialized nodes) and a
+/// built index.
+Status CheckTaxPreconditions(const QueryOptions& options,
+                             const DocumentSnapshot& snap,
+                             const std::string& doc_name) {
+  if (!options.use_tax) return Status::OK();
+  if (options.mode == EvalMode::kStax) {
+    return Status::InvalidArgument(
+        "TAX requires DOM mode (the index addresses materialized nodes)");
   }
-  return p;
+  if (snap.tax == nullptr) {
+    return Status::FailedPrecondition(
+        "document '" + doc_name + "' has no TAX index; call BuildIndex");
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 Smoqe::FacadeMetrics::FacadeMetrics(tel::MetricsRegistry& reg)
-    : query_count(&reg.GetCounter("query.count")),
-      query_errors(&reg.GetCounter("query.errors")),
+    : query{&reg.GetCounter("query.count"), &reg.GetCounter("query.errors"),
+            &reg.GetHistogram("query.latency_ns")},
       query_answers(&reg.GetCounter("query.answers")),
-      query_latency_ns(&reg.GetHistogram("query.latency_ns")),
       query_epoch_lag(&reg.GetHistogram("query.epoch_lag")),
-      batch_count(&reg.GetCounter("batch.count")),
-      batch_errors(&reg.GetCounter("batch.errors")),
+      batch{&reg.GetCounter("batch.count"), &reg.GetCounter("batch.errors"),
+            &reg.GetHistogram("batch.latency_ns")},
       batch_items(&reg.GetCounter("batch.items")),
-      batch_latency_ns(&reg.GetHistogram("batch.latency_ns")),
       batch_plans_per_scan(&reg.GetHistogram("batch.plans_per_scan")),
       batch_chunk_ns(&reg.GetHistogram("batch.chunk_ns")),
       eval_nodes_visited(&reg.GetCounter("eval.nodes_visited")),
       eval_subtrees_pruned(&reg.GetCounter("eval.subtrees_pruned")),
       eval_answers(&reg.GetCounter("eval.answers")),
-      update_count(&reg.GetCounter("update.count")),
+      update{&reg.GetCounter("update.count"), &reg.GetCounter("update.errors"),
+             &reg.GetHistogram("update.latency_ns")},
       update_accepted(&reg.GetCounter("update.accepted")),
       update_rejected(&reg.GetCounter("update.rejected")),
-      update_errors(&reg.GetCounter("update.errors")),
-      update_latency_ns(&reg.GetHistogram("update.latency_ns")),
       update_tax_repair_ns(&reg.GetHistogram("update.tax_repair_ns")),
       update_tax_rebuild_ns(&reg.GetHistogram("update.tax_rebuild_ns")),
       update_nodes_inserted(&reg.GetCounter("update.nodes_inserted")),
@@ -116,77 +112,208 @@ Smoqe::FacadeMetrics::FacadeMetrics(tel::MetricsRegistry& reg)
       guard_cancelled(&reg.GetCounter("guard.cancelled")),
       engine_inflight(&reg.GetGauge("engine.inflight")) {}
 
-Smoqe::Admission::Admission(Smoqe* engine)
-    : engine_(engine), admitted_(true) {
-  const int limit = engine->options_.max_pending_requests;
-  if (limit > 0) {
-    const int now =
-        engine->inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (now > limit) {
+/// \brief The request pipeline of every public entry point (see smoqe.h;
+/// docs/DESIGN.md §9.3, §11.2). The admission slot is RAII: held from
+/// construction to destruction.
+class Smoqe::RequestScope {
+ public:
+  /// The per-op half of the pipeline: trace name and slow-log `op`, the
+  /// count / error / latency instruments, and the slow-log identity
+  /// (views into storage that outlives the scope).
+  struct Desc {
+    const char* op;
+    OpMetrics FacadeMetrics::*metrics;
+    std::string_view doc;
+    std::string_view view;
+    std::string_view statement;
+  };
+  /// A trace attribute set at entry, when `set` holds.
+  struct Attr {
+    const char* key;
+    std::string_view value;
+    bool set = true;
+  };
+
+  RequestScope(Smoqe* engine, const RequestOptions& req, const Desc& desc,
+               std::initializer_list<Attr> attrs)
+      : engine_(engine), tm_(engine->tm_.get()), req_(req), desc_(desc) {
+    const int limit = engine->options_.max_pending_requests;
+    if (limit > 0 &&
+        engine->inflight_.fetch_add(1, std::memory_order_relaxed) >= limit) {
       engine->inflight_.fetch_sub(1, std::memory_order_relaxed);
       admitted_ = false;
       return;
     }
+    if (tm_ != nullptr) tm_->engine_inflight->Add(1);
+    guard_ = MakeGuard();
+    if (tm_ == nullptr) return;
+    t0_ = std::chrono::steady_clock::now();
+    trace_ = PickTrace();
+    if (trace_ == nullptr) return;
+    for (const Attr& a : attrs) {
+      if (a.set) trace_->SetAttr(a.key, std::string(a.value));
+    }
   }
-  if (engine->tm_ != nullptr) engine->tm_->engine_inflight->Add(1);
-}
 
-Smoqe::Admission::~Admission() {
-  if (!admitted_) return;
-  if (engine_->options_.max_pending_requests > 0) {
-    engine_->inflight_.fetch_sub(1, std::memory_order_relaxed);
+  ~RequestScope() {
+    if (!admitted_) return;
+    if (engine_->options_.max_pending_requests > 0) {
+      engine_->inflight_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    if (tm_ != nullptr) tm_->engine_inflight->Add(-1);
   }
-  if (engine_->tm_ != nullptr) engine_->tm_->engine_inflight->Add(-1);
-}
 
-const Guardrail* Smoqe::MakeGuard(const RequestOptions& req,
-                                  MemoryBudget* budget,
-                                  Guardrail* guard) const {
-  const uint64_t deadline_ms =
-      req.deadline_ms != 0 ? req.deadline_ms : options_.default_deadline_ms;
-  const uint64_t max_bytes = req.max_memory_bytes != 0
-                                 ? req.max_memory_bytes
-                                 : options_.default_max_memory_bytes;
-  if (deadline_ms == 0 && max_bytes == 0 && req.cancel == nullptr) {
-    return nullptr;  // ungoverned: evaluators take their null-guard fast path
-  }
-  budget->Reset(max_bytes);
-  *guard = Guardrail(Deadline::After(deadline_ms), req.cancel,
-                     max_bytes != 0 ? budget : nullptr);
-  return guard;
-}
+  RequestScope(const RequestScope&) = delete;
+  RequestScope& operator=(const RequestScope&) = delete;
 
-std::shared_ptr<tel::Trace> Smoqe::PickTrace(const char* name,
-                                             const RequestOptions& req,
-                                             bool* external) {
-  *external = req.trace != nullptr;
-  if (*external) return req.trace;
-  if (req.trace_id != 0 || req.profile) {
-    // An explicit correlation id or a PROFILE request must always
-    // record — sampling would make the surface flaky for the caller.
-    return telemetry_->traces().Begin(name, req.trace_id);
+  /// False when the admission gate was full: the call must return
+  /// `Busy()` at once, before parsing, locking or touching the catalog.
+  bool admitted() const { return admitted_; }
+  Status Busy() {
+    const int limit = engine_->options_.max_pending_requests;
+    Status busy = Status::RejectedBusy("engine is at max_pending_requests (" +
+                                       std::to_string(limit) + " in flight)");
+    CountGuardOutcome(busy);
+    return busy;
   }
-  return telemetry_->MaybeBeginTrace(name);
-}
 
-const char* Smoqe::CountGuardOutcome(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kDeadlineExceeded:
-      if (tm_ != nullptr) tm_->guard_deadline_exceeded->Add(1);
-      return "deadline";
-    case StatusCode::kResourceExhausted:
-      if (tm_ != nullptr) tm_->guard_budget_exceeded->Add(1);
-      return "budget";
-    case StatusCode::kRejectedBusy:
-      if (tm_ != nullptr) tm_->guard_admission_rejected->Add(1);
-      return "admission";
-    case StatusCode::kCancelled:
-      if (tm_ != nullptr) tm_->guard_cancelled->Add(1);
-      return "cancel";
-    default:
-      return nullptr;
+  const Guardrail* guard() const { return guard_; }
+  tel::Trace* trace() const { return trace_.get(); }
+  uint64_t trace_id() const { return trace_ != nullptr ? trace_->id() : 0; }
+
+  /// Closes the call whose outcome is `status`. With telemetry on, `fold`
+  /// — the op's outcome fold — folds the result into metrics and audit,
+  /// fills the outcome fields of the call's profile, and returns where a
+  /// requested profile lands (null: this call returns none).
+  template <typename Fold>
+  void Finish(const Status& status, Fold fold) {
+    if (tm_ == nullptr) return;
+    const uint64_t elapsed_ns = ElapsedNs(t0_);
+    OpMetrics& m = tm_->*desc_.metrics;
+    m.count->Add();
+    m.latency_ns->Record(elapsed_ns);
+    // A security denial is a decision the update fold records, not an
+    // error.
+    if (!status.ok() && status.code() != StatusCode::kPermissionDenied) {
+      m.errors->Add();
+      const char* guard_kind = CountGuardOutcome(status);
+      if (trace_ != nullptr && guard_kind != nullptr) {
+        trace_->SetAttr("guard", guard_kind);
+      }
+    }
+    tel::Profile p;
+    ProfileSlot slot = fold(&p);
+    // PROFILE / slow-query capture — on every outcome, so failures are
+    // debuggable too (an error's profile carries the stages that ran up
+    // to the failure point and empty stats).
+    tel::Telemetry& telemetry = *engine_->telemetry_;
+    const uint64_t threshold_ns =
+        engine_->options_.slow_query_threshold_ms * 1000000ull;
+    const bool is_slow =
+        telemetry.slow().enabled() && elapsed_ns >= threshold_ns;
+    const bool want_profile = req_.profile && slot != nullptr;
+    if (is_slow || want_profile) {
+      Stamp(&p, elapsed_ns);
+      if (want_profile) *slot = std::make_shared<tel::Profile>(p);
+      if (is_slow) {
+        telemetry.slow().Append(std::move(p), std::string(desc_.view),
+                                threshold_ns);
+      }
+    }
+    if (trace_ != nullptr) {
+      trace_->SetAttr("status", status.ok() ? "ok" : status.ToString());
+      // An external (server-owned) trace is finished by its owner.
+      if (req_.trace == nullptr) telemetry.traces().Finish(trace_);
+    }
   }
-}
+
+ private:
+  /// Resolves RequestOptions against the engine defaults into the
+  /// scope's budget + guard. Returns nullptr — the ungoverned fast path —
+  /// when no knob is active.
+  const Guardrail* MakeGuard() {
+    const EngineOptions& o = engine_->options_;
+    const uint64_t deadline_ms =
+        req_.deadline_ms != 0 ? req_.deadline_ms : o.default_deadline_ms;
+    const uint64_t max_bytes = req_.max_memory_bytes != 0
+                                   ? req_.max_memory_bytes
+                                   : o.default_max_memory_bytes;
+    if (deadline_ms == 0 && max_bytes == 0 && req_.cancel == nullptr) {
+      return nullptr;  // ungoverned: evaluators take their null-guard fast path
+    }
+    budget_.Reset(max_bytes);
+    guard_storage_ = Guardrail(Deadline::After(deadline_ms), req_.cancel,
+                               max_bytes != 0 ? &budget_ : nullptr);
+    return &guard_storage_;
+  }
+
+  /// The trace this call records into: an external (server-owned) trace
+  /// wins, else an explicit trace_id / profile request forces recording
+  /// under the caller's id (bypassing sampling), else the sampling knob
+  /// decides. Requires telemetry.
+  std::shared_ptr<tel::Trace> PickTrace() {
+    if (req_.trace != nullptr) return req_.trace;
+    tel::Telemetry& telemetry = *engine_->telemetry_;
+    if (req_.trace_id != 0 || req_.profile) {
+      // An explicit correlation id or a PROFILE request must always
+      // record — sampling would make the surface flaky for the caller.
+      return telemetry.traces().Begin(desc_.op, req_.trace_id);
+    }
+    return telemetry.MaybeBeginTrace(desc_.op);
+  }
+
+  /// Counts a guard-terminated request into the guard.* counters and
+  /// returns the span annotation ("deadline" / "budget" / "admission" /
+  /// "cancel"), or nullptr for ordinary errors.
+  const char* CountGuardOutcome(const Status& status) {
+    switch (status.code()) {
+      case StatusCode::kDeadlineExceeded:
+        if (tm_ != nullptr) tm_->guard_deadline_exceeded->Add(1);
+        return "deadline";
+      case StatusCode::kResourceExhausted:
+        if (tm_ != nullptr) tm_->guard_budget_exceeded->Add(1);
+        return "budget";
+      case StatusCode::kRejectedBusy:
+        if (tm_ != nullptr) tm_->guard_admission_rejected->Add(1);
+        return "admission";
+      case StatusCode::kCancelled:
+        if (tm_ != nullptr) tm_->guard_cancelled->Add(1);
+        return "cancel";
+      default:
+        return nullptr;
+    }
+  }
+
+  /// Stamps the call's identity and timing onto its profile. The trace's
+  /// span list becomes the stage tree (same indices, so parent links
+  /// carry over verbatim) and the guard's tick tally rides along; an
+  /// unsampled call (slow-log capture without a trace) has no stages.
+  void Stamp(tel::Profile* p, uint64_t total_ns) const {
+    p->op = desc_.op;
+    p->doc = std::string(desc_.doc);
+    p->view = std::string(desc_.view);
+    p->statement = std::string(desc_.statement);
+    p->total_ns = total_ns;
+    if (guard_ != nullptr) p->guard_ticks = guard_->checks();
+    if (trace_ == nullptr) return;
+    p->trace_id = trace_->id();
+    for (const tel::SpanRecord& s : trace_->spans()) {
+      const uint64_t ns = s.end_ns >= s.start_ns ? s.end_ns - s.start_ns : 0;
+      p->stages.push_back({s.name, s.parent, ns});
+    }
+  }
+
+  Smoqe* engine_;
+  FacadeMetrics* tm_;  // null when telemetry is off
+  const RequestOptions& req_;
+  const Desc desc_;
+  bool admitted_ = true;
+  MemoryBudget budget_;
+  Guardrail guard_storage_;
+  const Guardrail* guard_ = nullptr;
+  std::chrono::steady_clock::time_point t0_;
+  std::shared_ptr<tel::Trace> trace_;
+};
 
 Smoqe::Smoqe(EngineOptions options)
     : names_(xml::NameTable::Create()),
@@ -206,13 +333,6 @@ Smoqe::Smoqe(EngineOptions options)
     if (pool_ != nullptr) pool_->AttachTelemetry(&telemetry_->registry());
   }
 }
-
-Smoqe::Smoqe(size_t plan_cache_capacity)
-    : Smoqe([plan_cache_capacity] {
-        EngineOptions o;
-        o.plan_cache_capacity = plan_cache_capacity;
-        return o;
-      }()) {}
 
 Status Smoqe::RegisterDtd(const std::string& name, std::string_view dtd_text,
                           std::string_view root) {
@@ -475,12 +595,9 @@ Result<QueryAnswer> Smoqe::EvalCompiled(const DocumentSnapshot& snap,
   out.unknown_labels = plan.unknown_labels;
   out.doc_epoch = snap.epoch;
   if (options.explain) out.mfa_dump = plan.mfa.ToString();
+  SMOQE_RETURN_IF_ERROR(CheckTaxPreconditions(options, snap, doc_name));
 
   if (options.mode == EvalMode::kStax) {
-    if (options.use_tax) {
-      return Status::InvalidArgument(
-          "TAX requires DOM mode (the index addresses materialized nodes)");
-    }
     eval::StaxEvalOptions stax_opts;
     stax_opts.engine.trace = options.explain;
     stax_opts.guard = guard;
@@ -495,13 +612,7 @@ Result<QueryAnswer> Smoqe::EvalCompiled(const DocumentSnapshot& snap,
     eval::DomEvalOptions dom_opts;
     dom_opts.engine.trace = options.explain;
     dom_opts.guard = guard;
-    if (options.use_tax) {
-      if (snap.tax == nullptr) {
-        return Status::FailedPrecondition(
-            "document '" + doc_name + "' has no TAX index; call BuildIndex");
-      }
-      dom_opts.tax = snap.tax.get();
-    }
+    if (options.use_tax) dom_opts.tax = snap.tax.get();
     eval::DomEvalResult r;
     {
       tel::SpanScope span(tr, "evaluate");
@@ -531,17 +642,20 @@ void Smoqe::FoldEvalStats(const EvalStats& stats) {
   tm_->eval_answers->Add(stats.answers);
 }
 
-void Smoqe::AppendQueryAudit(const std::string& doc_name,
-                             const std::string& view_name,
-                             std::string_view query_text, uint64_t doc_epoch,
-                             uint64_t trace_id) {
+void Smoqe::AppendAudit(tel::AuditKind kind, const std::string& doc_name,
+                        const std::string& view_name,
+                        std::string_view statement, uint64_t doc_epoch,
+                        uint64_t trace_id, std::string explain) {
   tel::AuditRecord rec;
-  rec.kind = tel::AuditKind::kQueryRewrite;
+  rec.kind = kind;
   rec.view = view_name;
   rec.doc = doc_name;
   rec.doc_epoch = doc_epoch;
-  rec.statement = std::string(query_text);
-  rec.allowed = true;  // the rewrite itself is the enforcement
+  rec.statement = std::string(statement);
+  // A query rewrite is always allowed: the rewrite itself is the
+  // enforcement.
+  rec.allowed = kind != tel::AuditKind::kUpdateReject;
+  rec.explain = std::move(explain);
   rec.trace_id = trace_id;
   telemetry_->audit().Append(std::move(rec));
 }
@@ -579,40 +693,23 @@ Result<QueryAnswer> Smoqe::Query(const std::string& doc_name,
                                  std::string_view query_text,
                                  const QueryOptions& options,
                                  const RequestOptions& req) {
-  Admission slot(this);
-  if (!slot.ok()) {
-    Status busy = Status::RejectedBusy(
-        "engine is at max_pending_requests (" +
-        std::to_string(options_.max_pending_requests) + " in flight)");
-    CountGuardOutcome(busy);
-    return busy;
-  }
-  MemoryBudget budget;
-  Guardrail guard_storage;
-  const Guardrail* guard = MakeGuard(req, &budget, &guard_storage);
-  if (telemetry_ == nullptr) {
-    return QueryImpl(doc_name, query_text, options, guard, nullptr);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  bool external = false;
-  std::shared_ptr<tel::Trace> trace = PickTrace("query", req, &external);
-  tel::Trace* tr = trace.get();
-  if (tr != nullptr) {
-    tr->SetAttr("doc", doc_name);
-    tr->SetAttr("query", std::string(query_text));
-    if (!options.view.empty()) tr->SetAttr("view", options.view);
-    tr->SetAttr("mode", options.mode == EvalMode::kStax ? "stax" : "dom");
-  }
-
+  RequestScope scope(
+      this, req,
+      {"query", &FacadeMetrics::query, doc_name, options.view, query_text},
+      {{"doc", doc_name},
+       {"query", query_text},
+       {"view", options.view, !options.view.empty()},
+       {"mode", options.mode == EvalMode::kStax ? "stax" : "dom"}});
+  if (!scope.admitted()) return scope.Busy();
+  // The canonical rendering rides with a PROFILE, which only an engine
+  // with telemetry builds.
   Result<QueryAnswer> result =
-      QueryImpl(doc_name, query_text, options, guard, tr, req.profile);
-
-  const uint64_t elapsed_ns = ElapsedNs(t0);
-  tm_->query_count->Add();
-  tm_->query_latency_ns->Record(elapsed_ns);
-  if (result.ok()) {
+      QueryImpl(doc_name, query_text, options, scope.guard(), scope.trace(),
+                req.profile && telemetry_ != nullptr);
+  scope.Finish(result.status(), [&](tel::Profile* p) -> ProfileSlot {
+    if (!result.ok()) return nullptr;
     QueryAnswer& a = *result;
-    if (tr != nullptr) a.trace_id = tr->id();
+    a.trace_id = scope.trace_id();
     tm_->query_answers->Add(a.answers_xml.size());
     FoldEvalStats(a.stats);
     // Epoch lag: how far the published document moved past the snapshot
@@ -622,44 +719,39 @@ Result<QueryAnswer> Smoqe::Query(const std::string& doc_name,
       tm_->query_epoch_lag->Record(*cur - a.doc_epoch);
     }
     if (!options.view.empty()) {
-      AppendQueryAudit(doc_name, options.view, query_text, a.doc_epoch,
-                       a.trace_id);
+      AppendAudit(tel::AuditKind::kQueryRewrite, doc_name, options.view,
+                  query_text, a.doc_epoch, a.trace_id);
     }
-  } else {
-    tm_->query_errors->Add();
-    const char* guard_kind = CountGuardOutcome(result.status());
-    if (tr != nullptr && guard_kind != nullptr) {
-      tr->SetAttr("guard", guard_kind);
-    }
-  }
-  // PROFILE / slow-query capture — on every outcome, so failures are
-  // debuggable too (an error's profile carries the stages that ran up
-  // to the failure point and empty stats).
-  const uint64_t threshold_ns =
-      options_.slow_query_threshold_ms * 1000000ull;
-  const bool slow =
-      telemetry_->slow().enabled() && elapsed_ns >= threshold_ns;
-  const bool want_profile = req.profile && result.ok();
-  if (slow || want_profile) {
-    tel::Profile p = MakeProfile("query", doc_name, options.view, query_text,
-                                 elapsed_ns, guard, tr);
-    if (result.ok()) {
-      p.plan_cache_hit = result->stats.plan_cache_hits > 0;
-      p.doc_epoch = result->doc_epoch;
-      p.canonical_query = result->canonical_query;
-      p.stats = result->stats;
-    }
-    if (want_profile) result->profile = std::make_shared<tel::Profile>(p);
-    if (slow) {
-      telemetry_->slow().Append(std::move(p), options.view, threshold_ns);
-    }
-  }
-  if (tr != nullptr) {
-    tr->SetAttr("status",
-                result.ok() ? "ok" : result.status().ToString());
-    if (!external) telemetry_->traces().Finish(trace);
-  }
+    p->plan_cache_hit = a.stats.plan_cache_hits > 0;
+    p->doc_epoch = a.doc_epoch;
+    p->canonical_query = a.canonical_query;
+    p->stats = a.stats;
+    return &a.profile;
+  });
   return result;
+}
+
+std::vector<size_t> Smoqe::CompileBatchItems(
+    const DocumentSnapshot& snap, const std::string& doc_name,
+    const std::vector<BatchQueryItem>& items, const std::vector<size_t>& ids,
+    std::vector<PlanUse>* plans, std::vector<QueryAnswer>* out) {
+  std::vector<size_t> sel;
+  sel.reserve(items.size());
+  plans->resize(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    Result<PlanUse> plan = GetPlan(items[i].query, items[i].options, nullptr);
+    Status st = plan.ok()
+                    ? CheckTaxPreconditions(items[i].options, snap, doc_name)
+                    : plan.status();
+    if (!st.ok()) {
+      (*out)[ids[i]].status =
+          st.WithContext("batch item " + std::to_string(ids[i]));
+      continue;
+    }
+    (*plans)[i] = std::move(*plan);
+    sel.push_back(i);
+  }
+  return sel;
 }
 
 Status Smoqe::EvalBatchOnSnapshot(const DocumentSnapshot& snap,
@@ -767,10 +859,11 @@ Result<std::vector<QueryAnswer>> Smoqe::QueryBatchImpl(
     const Guardrail* guard, tel::Trace* tr) {
   if (guard != nullptr) SMOQE_RETURN_IF_ERROR(guard->Check());
   std::shared_ptr<const DocumentSnapshot> snap;
-  std::vector<PlanUse> plans(items.size());
+  std::vector<PlanUse> plans;
   std::vector<QueryAnswer> out(items.size());
   std::vector<size_t> sel;  // items that compiled; the rest failed locally
-  sel.reserve(items.size());
+  std::vector<size_t> ids(items.size());
+  for (size_t i = 0; i < items.size(); ++i) ids[i] = i;
   {
     std::shared_lock<std::shared_mutex> lock(catalog_mu_);
     DocumentEntry* doc = catalog_.FindDocument(doc_name);
@@ -783,32 +876,8 @@ Result<std::vector<QueryAnswer>> Smoqe::QueryBatchImpl(
     // *only itself*: its status lands in out[i].status and it is left
     // out of the evaluation selection; the siblings still run.
     tel::SpanScope span(tr, "compile_items");
-    for (size_t i = 0; i < items.size(); ++i) {
-      Status item_st = Status::OK();
-      auto plan = GetPlan(items[i].query, items[i].options, nullptr);
-      if (!plan.ok()) {
-        item_st = plan.status();
-      } else if (items[i].options.mode == EvalMode::kStax &&
-                 items[i].options.use_tax) {
-        item_st = Status::InvalidArgument(
-            "TAX requires DOM mode (the index addresses materialized nodes)");
-      } else if (items[i].options.mode == EvalMode::kDom &&
-                 items[i].options.use_tax && snap->tax == nullptr) {
-        item_st = Status::FailedPrecondition(
-            "document '" + doc_name + "' has no TAX index; call BuildIndex");
-      }
-      if (!item_st.ok()) {
-        out[i].status =
-            item_st.WithContext("batch item " + std::to_string(i));
-        continue;
-      }
-      plans[i] = std::move(*plan);
-      sel.push_back(i);
-    }
+    sel = CompileBatchItems(*snap, doc_name, items, ids, &plans, &out);
   }
-
-  std::vector<size_t> ids(items.size());
-  for (size_t i = 0; i < items.size(); ++i) ids[i] = i;
   SMOQE_RETURN_IF_ERROR(EvalBatchOnSnapshot(*snap, doc_name, items, plans, sel,
                                             ids, guard, &out, tr));
   return out;
@@ -817,97 +886,56 @@ Result<std::vector<QueryAnswer>> Smoqe::QueryBatchImpl(
 Result<std::vector<QueryAnswer>> Smoqe::QueryBatch(
     const std::string& doc_name, const std::vector<BatchQueryItem>& items,
     const RequestOptions& req) {
-  Admission slot(this);
-  if (!slot.ok()) {
-    Status busy = Status::RejectedBusy(
-        "engine is at max_pending_requests (" +
-        std::to_string(options_.max_pending_requests) + " in flight)");
-    CountGuardOutcome(busy);
-    return busy;
-  }
-  MemoryBudget budget;
-  Guardrail guard_storage;
-  const Guardrail* guard = MakeGuard(req, &budget, &guard_storage);
-  if (telemetry_ == nullptr) {
-    return QueryBatchImpl(doc_name, items, guard, nullptr);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  bool external = false;
-  std::shared_ptr<tel::Trace> trace = PickTrace("query_batch", req, &external);
-  tel::Trace* tr = trace.get();
-  if (tr != nullptr) {
-    tr->SetAttr("doc", doc_name);
-    tr->SetAttr("items", std::to_string(items.size()));
-  }
-
+  const std::string count = std::to_string(items.size());
+  const std::string statement = count + " items";
+  RequestScope scope(
+      this, req,
+      {"query_batch", &FacadeMetrics::batch, doc_name, "", statement},
+      {{"doc", doc_name}, {"items", count}});
+  if (!scope.admitted()) return scope.Busy();
   Result<std::vector<QueryAnswer>> result =
-      QueryBatchImpl(doc_name, items, guard, tr);
+      QueryBatchImpl(doc_name, items, scope.guard(), scope.trace());
+  scope.Finish(result.status(), [&](tel::Profile* p) {
+    return FoldBatch(doc_name, items, scope.trace_id(), &result, p);
+  });
+  return result;
+}
 
-  const uint64_t elapsed_ns = ElapsedNs(t0);
-  tm_->batch_count->Add();
+template <typename Item>
+Smoqe::ProfileSlot Smoqe::FoldBatch(
+    const std::string& doc_name, const std::vector<Item>& items,
+    uint64_t trace_id, Result<std::vector<QueryAnswer>>* result,
+    tel::Profile* p) {
   tm_->batch_items->Add(items.size());
-  tm_->batch_latency_ns->Record(elapsed_ns);
+  if (!result->ok()) return nullptr;
+  std::vector<QueryAnswer>& answers = **result;
   // Batch-level stats are the MergeFrom fold of the per-item stats
   // (identical under serial and parallel execution — asserted in the
   // concurrency suite); only the fold touches the registry. Items that
   // failed locally contribute nothing — no stats, no audit record.
-  EvalStats agg;
-  if (result.ok()) {
-    for (size_t i = 0; i < result->size(); ++i) {
-      QueryAnswer& a = (*result)[i];
-      if (tr != nullptr) a.trace_id = tr->id();
-      if (!a.status.ok()) {
-        tm_->query_errors->Add();
-        continue;
-      }
-      agg.MergeFrom(a.stats);
-      if (!items[i].options.view.empty()) {
-        AppendQueryAudit(doc_name, items[i].options.view, items[i].query,
-                         a.doc_epoch, a.trace_id);
-      }
+  EvalStats& agg = p->stats;
+  size_t ok_items = 0;
+  for (size_t i = 0; i < answers.size(); ++i) {
+    QueryAnswer& a = answers[i];
+    a.trace_id = trace_id;
+    if (!a.status.ok()) {
+      tm_->query.errors->Add();
+      continue;
     }
-    FoldEvalStats(agg);
-    tm_->query_answers->Add(agg.answers);
-  } else {
-    tm_->batch_errors->Add();
-    const char* guard_kind = CountGuardOutcome(result.status());
-    if (tr != nullptr && guard_kind != nullptr) {
-      tr->SetAttr("guard", guard_kind);
+    agg.MergeFrom(a.stats);
+    if (ok_items++ == 0) p->doc_epoch = a.doc_epoch;
+    if (!items[i].options.view.empty()) {
+      AppendAudit(tel::AuditKind::kQueryRewrite, ItemDoc(items[i], doc_name),
+                  items[i].options.view, items[i].query, a.doc_epoch,
+                  a.trace_id);
     }
   }
+  FoldEvalStats(agg);
+  tm_->query_answers->Add(agg.answers);
   // One batch-level profile (per-item breakdowns would need per-item
   // traces); it rides on the FIRST item's answer when requested.
-  const uint64_t threshold_ns =
-      options_.slow_query_threshold_ms * 1000000ull;
-  const bool slow =
-      telemetry_->slow().enabled() && elapsed_ns >= threshold_ns;
-  const bool want_profile = req.profile && result.ok() && !result->empty();
-  if (slow || want_profile) {
-    tel::Profile p = MakeProfile("query_batch", doc_name, "",
-                                 std::to_string(items.size()) + " items",
-                                 elapsed_ns, guard, tr);
-    if (result.ok()) {
-      p.plan_cache_hit =
-          agg.plan_cache_misses == 0 && agg.plan_cache_hits > 0;
-      p.stats = agg;
-      for (const QueryAnswer& a : *result) {
-        if (a.status.ok()) {
-          p.doc_epoch = a.doc_epoch;
-          break;
-        }
-      }
-    }
-    if (want_profile) {
-      result->front().profile = std::make_shared<tel::Profile>(p);
-    }
-    if (slow) telemetry_->slow().Append(std::move(p), "", threshold_ns);
-  }
-  if (tr != nullptr) {
-    tr->SetAttr("status",
-                result.ok() ? "ok" : result.status().ToString());
-    if (!external) telemetry_->traces().Finish(trace);
-  }
-  return result;
+  p->plan_cache_hit = agg.plan_cache_misses == 0 && agg.plan_cache_hits > 0;
+  return answers.empty() ? nullptr : &answers.front().profile;
 }
 
 Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMultiImpl(
@@ -921,11 +949,11 @@ Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMultiImpl(
     std::shared_ptr<const DocumentSnapshot> snap;
     std::vector<BatchQueryItem> items;
     std::vector<size_t> original;  // index into the caller's vector
+    std::vector<PlanUse> plans;    // parallel to items
     std::vector<size_t> sel;       // group positions that compiled
   };
   std::vector<Group> groups;
   std::map<std::string, size_t> group_of;
-  std::vector<std::vector<PlanUse>> plans;  // parallel to groups
   std::vector<QueryAnswer> out(items.size());
   {
     std::shared_lock<std::shared_mutex> lock(catalog_mu_);
@@ -938,43 +966,19 @@ Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMultiImpl(
                                   "' is not loaded")
               .WithContext("batch item " + std::to_string(i));
         }
-        groups.push_back(Group{items[i].doc, doc->Acquire(), {}, {}, {}});
+        groups.push_back(
+            Group{items[i].doc, doc->Acquire(), {}, {}, {}, {}});
       }
       Group& g = groups[it->second];
       g.items.push_back(BatchQueryItem{items[i].query, items[i].options});
       g.original.push_back(i);
     }
-    // Per-item compile/precondition resolution — same semantics as
-    // QueryBatch: a bad item fails only itself (status in the caller's
-    // slot), an unknown document fails the call above.
-    plans.resize(groups.size());
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-      Group& g = groups[gi];
-      plans[gi].resize(g.items.size());
-      for (size_t j = 0; j < g.items.size(); ++j) {
-        const QueryOptions& o = g.items[j].options;
-        Status item_st = Status::OK();
-        auto plan = GetPlan(g.items[j].query, o, nullptr);
-        if (!plan.ok()) {
-          item_st = plan.status();
-        } else if (o.mode == EvalMode::kStax && o.use_tax) {
-          item_st = Status::InvalidArgument(
-              "TAX requires DOM mode (the index addresses materialized "
-              "nodes)");
-        } else if (o.mode == EvalMode::kDom && o.use_tax &&
-                   g.snap->tax == nullptr) {
-          item_st = Status::FailedPrecondition(
-              "document '" + g.doc_name +
-              "' has no TAX index; call BuildIndex");
-        }
-        if (!item_st.ok()) {
-          out[g.original[j]].status = item_st.WithContext(
-              "batch item " + std::to_string(g.original[j]));
-          continue;
-        }
-        plans[gi][j] = std::move(*plan);
-        g.sel.push_back(j);
-      }
+    // QueryBatch's compile step per group: a bad item fails only itself
+    // (status in the caller's slot), an unknown document failed the call
+    // above.
+    for (Group& g : groups) {
+      g.sel = CompileBatchItems(*g.snap, g.doc_name, g.items, g.original,
+                                &g.plans, &out);
     }
   }
 
@@ -982,7 +986,7 @@ Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMultiImpl(
   auto eval_group = [&](size_t gi) {
     Group& g = groups[gi];
     std::vector<QueryAnswer> group_out(g.items.size());
-    Status s = EvalBatchOnSnapshot(*g.snap, g.doc_name, g.items, plans[gi],
+    Status s = EvalBatchOnSnapshot(*g.snap, g.doc_name, g.items, g.plans,
                                    g.sel, g.original, guard, &group_out, tr);
     if (!s.ok()) {
       statuses[gi] = std::move(s);
@@ -1011,71 +1015,18 @@ Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMultiImpl(
 
 Result<std::vector<QueryAnswer>> Smoqe::QueryBatchMulti(
     const std::vector<DocBatchItem>& items, const RequestOptions& req) {
-  Admission slot(this);
-  if (!slot.ok()) {
-    Status busy = Status::RejectedBusy(
-        "engine is at max_pending_requests (" +
-        std::to_string(options_.max_pending_requests) + " in flight)");
-    CountGuardOutcome(busy);
-    return busy;
-  }
-  MemoryBudget budget;
-  Guardrail guard_storage;
-  const Guardrail* guard = MakeGuard(req, &budget, &guard_storage);
-  if (telemetry_ == nullptr) {
-    return QueryBatchMultiImpl(items, guard, nullptr);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  bool external = false;
-  std::shared_ptr<tel::Trace> trace =
-      PickTrace("query_batch_multi", req, &external);
-  tel::Trace* tr = trace.get();
-  if (tr != nullptr) tr->SetAttr("items", std::to_string(items.size()));
-
+  const std::string count = std::to_string(items.size());
+  const std::string statement = count + " items";
+  RequestScope scope(
+      this, req,
+      {"query_batch_multi", &FacadeMetrics::batch, "", "", statement},
+      {{"items", count}});
+  if (!scope.admitted()) return scope.Busy();
   Result<std::vector<QueryAnswer>> result =
-      QueryBatchMultiImpl(items, guard, tr);
-
-  const uint64_t elapsed_ns = ElapsedNs(t0);
-  tm_->batch_count->Add();
-  tm_->batch_items->Add(items.size());
-  tm_->batch_latency_ns->Record(elapsed_ns);
-  if (result.ok()) {
-    EvalStats agg;
-    for (size_t i = 0; i < result->size(); ++i) {
-      QueryAnswer& a = (*result)[i];
-      if (tr != nullptr) a.trace_id = tr->id();
-      if (!a.status.ok()) {
-        tm_->query_errors->Add();
-        continue;
-      }
-      agg.MergeFrom(a.stats);
-      if (!items[i].options.view.empty()) {
-        AppendQueryAudit(items[i].doc, items[i].options.view, items[i].query,
-                         a.doc_epoch, a.trace_id);
-      }
-    }
-    FoldEvalStats(agg);
-    tm_->query_answers->Add(agg.answers);
-  } else {
-    tm_->batch_errors->Add();
-    const char* guard_kind = CountGuardOutcome(result.status());
-    if (tr != nullptr && guard_kind != nullptr) {
-      tr->SetAttr("guard", guard_kind);
-    }
-  }
-  const uint64_t threshold_ns =
-      options_.slow_query_threshold_ms * 1000000ull;
-  if (telemetry_->slow().enabled() && elapsed_ns >= threshold_ns) {
-    tel::Profile p = MakeProfile("query_batch_multi", "", "",
-                                 std::to_string(items.size()) + " items",
-                                 elapsed_ns, guard, tr);
-    telemetry_->slow().Append(std::move(p), "", threshold_ns);
-  }
-  if (tr != nullptr) {
-    tr->SetAttr("status",
-                result.ok() ? "ok" : result.status().ToString());
-    if (!external) telemetry_->traces().Finish(trace);
-  }
+      QueryBatchMultiImpl(items, scope.guard(), scope.trace());
+  scope.Finish(result.status(), [&](tel::Profile* p) {
+    return FoldBatch(std::string(), items, scope.trace_id(), &result, p);
+  });
   return result;
 }
 
@@ -1140,7 +1091,8 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
                                        std::string_view update_text,
                                        const UpdateOptions& options,
                                        const Guardrail* guard,
-                                       tel::Trace* tr) {
+                                       tel::Trace* tr,
+                                       uint64_t* decision_epoch) {
   if (guard != nullptr) SMOQE_RETURN_IF_ERROR(guard->Check());
   std::shared_lock<std::shared_mutex> lock(catalog_mu_);
   DocumentEntry* doc = catalog_.FindDocument(doc_name);
@@ -1180,6 +1132,7 @@ Result<UpdateResult> Smoqe::UpdateImpl(const std::string& doc_name,
   // stay pinned to the base snapshot for as long as they need it.
   std::lock_guard<std::mutex> writer(doc->writer_mu);
   std::shared_ptr<const DocumentSnapshot> base = doc->Acquire();
+  *decision_epoch = base->epoch;
   const xml::Document& base_dom = *base->dom;
 
   // Resolve the target set the way a query is answered (DESIGN.md §6.1):
@@ -1372,93 +1325,45 @@ Result<UpdateResult> Smoqe::Update(const std::string& doc_name,
                                    std::string_view update_text,
                                    const UpdateOptions& options,
                                    const RequestOptions& req) {
-  Admission slot(this);
-  if (!slot.ok()) {
-    Status busy = Status::RejectedBusy(
-        "engine is at max_pending_requests (" +
-        std::to_string(options_.max_pending_requests) + " in flight)");
-    CountGuardOutcome(busy);
-    return busy;
-  }
-  MemoryBudget budget;
-  Guardrail guard_storage;
-  const Guardrail* guard = MakeGuard(req, &budget, &guard_storage);
-  if (telemetry_ == nullptr) {
-    return UpdateImpl(doc_name, update_text, options, guard, nullptr);
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  bool external = false;
-  std::shared_ptr<tel::Trace> trace = PickTrace("update", req, &external);
-  tel::Trace* tr = trace.get();
-  if (tr != nullptr) {
-    tr->SetAttr("doc", doc_name);
-    if (!options.view.empty()) tr->SetAttr("view", options.view);
-    if (options.dry_run) tr->SetAttr("dry_run", "true");
-  }
+  RequestScope scope(
+      this, req,
+      {"update", &FacadeMetrics::update, doc_name, options.view, update_text},
+      {{"doc", doc_name},
+       {"view", options.view, !options.view.empty()},
+       {"dry_run", "true", options.dry_run}});
+  if (!scope.admitted()) return scope.Busy();
+  uint64_t decision_epoch = 0;
   Result<UpdateResult> result =
-      UpdateImpl(doc_name, update_text, options, guard, tr);
-  const uint64_t elapsed_ns = ElapsedNs(t0);
-  tm_->update_count->Add(1);
-  tm_->update_latency_ns->Record(elapsed_ns);
-  if (result.ok()) {
-    tm_->update_accepted->Add(1);
-    tm_->update_nodes_inserted->Add(
-        static_cast<int64_t>(result->stats.nodes_inserted));
-    tm_->update_nodes_deleted->Add(
-        static_cast<int64_t>(result->stats.nodes_deleted));
-    if (!options.view.empty()) {
-      tel::AuditRecord rec;
-      rec.kind = tel::AuditKind::kUpdateAccept;
-      rec.view = options.view;
-      rec.doc = doc_name;
-      rec.doc_epoch = result->stats.doc_epoch;
-      rec.statement = std::string(update_text);
-      rec.allowed = true;
-      rec.trace_id = tr != nullptr ? tr->id() : 0;
-      telemetry_->audit().Append(std::move(rec));
-    }
-  } else if (result.status().code() == StatusCode::kPermissionDenied) {
-    // Every security denial leaves exactly one audit record carrying the
-    // evaluator's explain string verbatim (tested differentially against
-    // the returned Status in tests/telemetry_facade_test.cc).
-    tm_->update_rejected->Add(1);
-    tel::AuditRecord rec;
-    rec.kind = tel::AuditKind::kUpdateReject;
-    rec.view = options.view;
-    rec.doc = doc_name;
-    Result<uint64_t> epoch = DocumentEpoch(doc_name);
-    rec.doc_epoch = epoch.ok() ? *epoch : 0;
-    rec.statement = std::string(update_text);
-    rec.allowed = false;
-    rec.explain = result.status().message();
-    rec.trace_id = tr != nullptr ? tr->id() : 0;
-    telemetry_->audit().Append(std::move(rec));
-  } else {
-    // Guard terminations land here by design: a deadline / budget /
-    // cancel trip is a resource outcome, not a security decision, so it
-    // counts as an error and an audit record is deliberately NOT written
-    // (docs/QUERY_LANGUAGE.md "Updates").
-    tm_->update_errors->Add(1);
-    const char* guard_kind = CountGuardOutcome(result.status());
-    if (tr != nullptr && guard_kind != nullptr) {
-      tr->SetAttr("guard", guard_kind);
-    }
-  }
-  const uint64_t threshold_ns =
-      options_.slow_query_threshold_ms * 1000000ull;
-  if (telemetry_->slow().enabled() && elapsed_ns >= threshold_ns) {
-    tel::Profile p = MakeProfile("update", doc_name, options.view,
-                                 update_text, elapsed_ns, guard, tr);
+      UpdateImpl(doc_name, update_text, options, scope.guard(), scope.trace(),
+                 &decision_epoch);
+  // Guard terminations are left to the scope by design: a deadline /
+  // budget / cancel trip is a resource outcome, not a security decision,
+  // so it counts as an error and an audit record is deliberately NOT
+  // written (docs/QUERY_LANGUAGE.md "Updates"). Updates never return a
+  // profile.
+  scope.Finish(result.status(), [&](tel::Profile* p) -> ProfileSlot {
     if (result.ok()) {
-      p.doc_epoch = result->stats.doc_epoch;
-      p.canonical_query = result->canonical;
+      tm_->update_accepted->Add(1);
+      tm_->update_nodes_inserted->Add(result->stats.nodes_inserted);
+      tm_->update_nodes_deleted->Add(result->stats.nodes_deleted);
+      if (!options.view.empty()) {
+        AppendAudit(tel::AuditKind::kUpdateAccept, doc_name, options.view,
+                    update_text, result->stats.doc_epoch, scope.trace_id());
+      }
+      p->doc_epoch = result->stats.doc_epoch;
+      p->canonical_query = result->canonical;
+    } else if (result.status().code() == StatusCode::kPermissionDenied) {
+      // Every security denial leaves exactly one audit record carrying
+      // the evaluator's explain string verbatim (tested differentially
+      // against the returned Status in tests/telemetry_facade_test.cc),
+      // stamped with the epoch of the snapshot the decision read.
+      tm_->update_rejected->Add(1);
+      AppendAudit(tel::AuditKind::kUpdateReject, doc_name, options.view,
+                  update_text, decision_epoch, scope.trace_id(),
+                  result.status().message());
     }
-    telemetry_->slow().Append(std::move(p), options.view, threshold_ns);
-  }
-  if (tr != nullptr) {
-    tr->SetAttr("status", result.ok() ? "ok" : result.status().ToString());
-    if (!external) telemetry_->traces().Finish(trace);
-  }
+    return nullptr;
+  });
   return result;
 }
 

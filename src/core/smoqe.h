@@ -150,8 +150,9 @@ struct QueryAnswer {
   /// (set when RequestOptions::profile was requested; "" otherwise).
   std::string canonical_query;
   /// Structured execution profile, set only when RequestOptions::profile
-  /// was requested. For QueryBatch the single batch-level profile rides
-  /// on the FIRST item's answer (per-item breakdowns live in `stats`).
+  /// was requested. For QueryBatch and QueryBatchMulti the single
+  /// batch-level profile rides on the FIRST item's answer (per-item
+  /// breakdowns live in `stats`).
   std::shared_ptr<tel::Profile> profile;
   /// Per-item status of batch calls. Query() never returns an answer
   /// with a non-OK status (the call's Result carries the error), but
@@ -252,11 +253,7 @@ struct MaterializedViewAnswer {
 /// last reader drops it.
 class Smoqe {
  public:
-  explicit Smoqe(EngineOptions options);
-
-  /// `plan_cache_capacity` bounds the number of compiled query plans kept
-  /// hot (LRU beyond it). All other EngineOptions keep their defaults.
-  explicit Smoqe(size_t plan_cache_capacity = PlanCache::kDefaultCapacity);
+  explicit Smoqe(EngineOptions options = {});
 
   /// Registers a DTD under `name`, replacing any previous registration.
   /// `root` may be empty when inferable. Replacing a DTD invalidates the
@@ -431,31 +428,33 @@ class Smoqe {
     return pool_ != nullptr && options_.parallel_batch;
   }
 
+  /// The count / error / latency instruments of one entry-point kind
+  /// (`<kind>.count`, `<kind>.errors`, `<kind>.latency_ns`).
+  struct OpMetrics {
+    tel::Counter* count;
+    tel::Counter* errors;
+    tel::Histogram* latency_ns;
+  };
+
   /// Hot-path facade metrics, resolved once at construction so the
   /// per-call cost is pointer increments, never a registry lookup. Null
   /// (the struct, not the fields) when telemetry is off.
   struct FacadeMetrics {
     explicit FacadeMetrics(tel::MetricsRegistry& reg);
 
-    tel::Counter* query_count;
-    tel::Counter* query_errors;
+    OpMetrics query;
     tel::Counter* query_answers;
-    tel::Histogram* query_latency_ns;
     tel::Histogram* query_epoch_lag;
-    tel::Counter* batch_count;
-    tel::Counter* batch_errors;
+    OpMetrics batch;
     tel::Counter* batch_items;
-    tel::Histogram* batch_latency_ns;
     tel::Histogram* batch_plans_per_scan;
     tel::Histogram* batch_chunk_ns;
     tel::Counter* eval_nodes_visited;
     tel::Counter* eval_subtrees_pruned;
     tel::Counter* eval_answers;
-    tel::Counter* update_count;
+    OpMetrics update;
     tel::Counter* update_accepted;
     tel::Counter* update_rejected;
-    tel::Counter* update_errors;
-    tel::Histogram* update_latency_ns;
     tel::Histogram* update_tax_repair_ns;
     tel::Histogram* update_tax_rebuild_ns;
     tel::Counter* update_nodes_inserted;
@@ -487,10 +486,18 @@ class Smoqe {
                                    const QueryOptions& options,
                                    const Guardrail* guard, tel::Trace* tr);
 
-  /// The untelemetered bodies of the public calls; the public methods are
-  /// thin wrappers that admit the request, build its guardrail, time the
-  /// call, fold its stats into the registry, append audit records, and
-  /// finish the trace.
+  /// One facade call's pipeline (defined in smoqe.cc). Every public entry
+  /// point opens a RequestScope — admission slot, guardrail, and with
+  /// telemetry on the clock and the trace — runs its `*Impl` body, and
+  /// closes the scope with the op's outcome fold. Closing records count
+  /// and latency, counts error and guard outcomes, assembles the slow-log
+  /// entry and PROFILE, and finishes the trace. With telemetry off the
+  /// scope reads no clock and starts no trace.
+  class RequestScope;
+  /// Where an outcome fold says a requested profile lands (null: none).
+  using ProfileSlot = std::shared_ptr<tel::Profile>*;
+
+  /// The untelemetered bodies of the public calls.
   Result<QueryAnswer> QueryImpl(const std::string& doc_name,
                                 std::string_view query_text,
                                 const QueryOptions& options,
@@ -502,54 +509,42 @@ class Smoqe {
   Result<std::vector<QueryAnswer>> QueryBatchMultiImpl(
       const std::vector<DocBatchItem>& items, const Guardrail* guard,
       tel::Trace* tr);
+  /// `*decision_epoch` receives the epoch of the snapshot authorization
+  /// reads, so a rejection is audited at decision time.
   Result<UpdateResult> UpdateImpl(const std::string& doc_name,
                                   std::string_view update_text,
                                   const UpdateOptions& options,
-                                  const Guardrail* guard, tel::Trace* tr);
+                                  const Guardrail* guard, tel::Trace* tr,
+                                  uint64_t* decision_epoch);
+
+  /// The outcome fold of both batch calls (Item = BatchQueryItem for
+  /// QueryBatch, DocBatchItem for QueryBatchMulti): item errors, the
+  /// MergeFrom stats aggregate, audit records, and the batch profile's
+  /// outcome fields in `*p`; the profile rides on the first answer.
+  template <typename Item>
+  ProfileSlot FoldBatch(const std::string& doc_name,
+                        const std::vector<Item>& items, uint64_t trace_id,
+                        Result<std::vector<QueryAnswer>>* result,
+                        tel::Profile* p);
 
   /// Folds one call's EvalStats aggregate into the eval.* counters.
   void FoldEvalStats(const EvalStats& stats);
 
-  /// Resolves the trace a facade call records into, per RequestOptions:
-  /// an external (server-owned) trace wins, else an explicit trace_id /
-  /// profile request forces recording under the caller's id (bypassing
-  /// sampling), else the sampling knob decides. `*external` reports
-  /// whether the facade must leave Finish to the owner. Requires
-  /// telemetry_ != nullptr.
-  std::shared_ptr<tel::Trace> PickTrace(const char* name,
-                                        const RequestOptions& req,
-                                        bool* external);
+  /// Appends one authorization decision to the audit log.
+  void AppendAudit(tel::AuditKind kind, const std::string& doc_name,
+                   const std::string& view_name, std::string_view statement,
+                   uint64_t doc_epoch, uint64_t trace_id,
+                   std::string explain = "");
 
-  /// RAII admission slot. `ok()` false means the gate was full and the
-  /// call must fast-fail with RejectedBusy; nothing to release then.
-  class Admission {
-   public:
-    explicit Admission(Smoqe* engine);
-    ~Admission();
-    Admission(const Admission&) = delete;
-    Admission& operator=(const Admission&) = delete;
-    bool ok() const { return admitted_; }
-
-   private:
-    Smoqe* engine_;
-    bool admitted_;
-  };
-
-  /// Resolves RequestOptions against the engine defaults into `budget` +
-  /// `guard` (stack storage owned by the caller). Returns nullptr — the
-  /// ungoverned fast path — when no knob is active.
-  const Guardrail* MakeGuard(const RequestOptions& req, MemoryBudget* budget,
-                             Guardrail* guard) const;
-
-  /// Counts a guard-terminated request into the guard.* counters and
-  /// returns the span annotation ("deadline" / "budget" / "admission" /
-  /// "cancel"), or nullptr for ordinary errors. Null-safe on tm_.
-  const char* CountGuardOutcome(const Status& status);
-  /// Appends the kQueryRewrite audit record of a successful view query.
-  void AppendQueryAudit(const std::string& doc_name,
-                        const std::string& view_name,
-                        std::string_view query_text, uint64_t doc_epoch,
-                        uint64_t trace_id);
+  /// Both batch calls' compile step over one pinned snapshot: each item's
+  /// plan (into `plans`) and TAX preconditions. A failing item fails only
+  /// itself: its status, naming the caller's index `ids[i]`, lands in
+  /// (*out)[ids[i]]. Returns the positions that compiled. Caller holds
+  /// catalog_mu_ (shared suffices).
+  std::vector<size_t> CompileBatchItems(
+      const DocumentSnapshot& snap, const std::string& doc_name,
+      const std::vector<BatchQueryItem>& items, const std::vector<size_t>& ids,
+      std::vector<PlanUse>* plans, std::vector<QueryAnswer>* out);
 
   /// QueryBatch's evaluation phase over one pinned snapshot: `sel` holds
   /// the item indices of this group; answers land in out[sel[j]].

@@ -201,7 +201,9 @@ TEST_F(ConcurrencyTest, ReadersDuringUpdateSeeOneConsistentEpoch) {
   // engine, recording the probe's answers at every epoch.
   std::map<uint64_t, std::vector<std::string>> expected;
   {
-    Smoqe ref(/*plan_cache_capacity=*/64);
+    EngineOptions ref_options;
+    ref_options.plan_cache_capacity = 64;
+    Smoqe ref(ref_options);
     ASSERT_TRUE(
         ref.RegisterDtd("hospital", testutil::kHospitalDtd, "hospital").ok());
     ASSERT_TRUE(ref.LoadDocument("ward", kHospitalDoc).ok());

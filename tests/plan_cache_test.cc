@@ -204,7 +204,9 @@ TEST_F(SmoqePlanCacheTest, DtdReplacementInvalidatesDependentViews) {
 }
 
 TEST_F(SmoqePlanCacheTest, CapacityEvictionThroughFacade) {
-  Smoqe small(/*plan_cache_capacity=*/2);
+  EngineOptions small_options;
+  small_options.plan_cache_capacity = 2;
+  Smoqe small(small_options);
   ASSERT_TRUE(
       small.RegisterDtd("hospital", workload::kHospitalDtd, "hospital").ok());
   ASSERT_TRUE(small.LoadDocument("ward", kHospitalDoc).ok());
